@@ -6,14 +6,17 @@ scaled to integers and combined without ever forming intermediate
 fractions, with a gcd normalisation after each combination to keep
 entries small).  Pivots prefer sparse columns, with deterministic
 tie-breaking by lowest column index then lowest row index, so results and
-kernel bases are reproducible across runs and platforms.
+kernel bases are reproducible across runs and platforms.  A lazy min-heap
+of (row count, column) finds that column without scanning all of them.
 
-``rank_mod_p`` is a screening heuristic only: it is guaranteed to be a
-lower bound on the rational rank and must never substitute for it.
+``rank_mod_p`` runs the same elimination loop with every combined row
+reduced mod p.  It is a screening heuristic only: it is guaranteed to be
+a lower bound on the rational rank and must never substitute for it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,7 +179,7 @@ def _normalize_row(row: dict) -> dict:
     return row
 
 
-def _eliminate(rows):
+def _eliminate(rows, modulus=None):
     """Fraction-free elimination on a list of integer row dicts.
 
     Returns ``(pivots, rows)`` where ``pivots`` is the ordered list of
@@ -184,49 +187,72 @@ def _eliminate(rows):
     column, then the sparsest row in it, breaking ties by lowest column
     and lowest row index.  Retired pivot rows keep their final content,
     so the pivot rows form a triangular system in pivot order.
+
+    With a prime ``modulus`` the rows hold residues mod p and every
+    combined row is reduced mod p, which gives the rank over GF(p).
     """
     col_rows: dict[int, set] = {}
     for r, row in enumerate(rows):
         for j in row:
             col_rows.setdefault(j, set()).add(r)
+    # lazy min-heap of (row count, column): a column's count changes only
+    # when it lies in the pivot row, and then a fresh entry is pushed, so
+    # the first entry that matches its live count is the sparsest column;
+    # rebuilding from the live counts bounds the stale entries it holds
+    heap = []
     pivots = []
     while True:
-        best = None
-        for j, rs in col_rows.items():
-            if not rs:
-                continue
-            cand = (len(rs), j)
-            if best is None or cand < best[0]:
-                rws = sorted(rs, key=lambda r: (len(rows[r]), r))
-                best = (cand, j, rws[0])
-        if best is None:
-            break
-        _, col, piv = best
+        if not heap or len(heap) > 2 * len(col_rows):
+            heap = [(len(rs), j) for j, rs in col_rows.items() if rs]
+            if not heap:
+                break
+            heapq.heapify(heap)
+        count, col = heapq.heappop(heap)
+        rs = col_rows.get(col)
+        if not rs or len(rs) != count:
+            continue
+        del col_rows[col]
+        piv = min(rs, key=lambda r: (len(rows[r]), r))
         pivrow = rows[piv]
         p = pivrow[col]
-        for r in sorted(col_rows[col]):
+        rest = [(j, x) for j, x in pivrow.items() if j != col]
+        for r in rs:
             if r == piv:
                 continue
             row = rows[r]
             v = row[col]
             g = math.gcd(p, v)
             mp, mv = p // g, v // g
-            new = {}
-            for j, x in row.items():
-                y = x * mp - mv * pivrow.get(j, 0)
+            new = row.copy() if mp == 1 else {j: x * mp for j, x in row.items()}
+            del new[col]
+            for j, x in rest:
+                y = new.get(j)
+                if y is None:
+                    new[j] = -mv * x
+                    col_rows[j].add(r)
+                else:
+                    y -= mv * x
+                    if y:
+                        new[j] = y
+                    else:
+                        del new[j]
+                        col_rows[j].discard(r)
+            if modulus is None:
+                rows[r] = _normalize_row(new)
+                continue
+            for j, y in list(new.items()):
+                y %= modulus
                 if y:
                     new[j] = y
                 else:
+                    del new[j]
                     col_rows[j].discard(r)
-            for j, x in pivrow.items():
-                if j not in row:
-                    new[j] = -mv * x
-                    col_rows.setdefault(j, set()).add(r)
-            rows[r] = _normalize_row(new)
-        # retire the pivot row and its column
-        for j in pivrow:
-            col_rows[j].discard(piv)
-        del col_rows[col]
+            rows[r] = new
+        # retire the pivot row; its other columns get fresh heap entries
+        for j, _ in rest:
+            holders = col_rows[j]
+            holders.discard(piv)
+            heapq.heappush(heap, (len(holders), j))
         pivots.append((piv, col))
     return pivots, rows
 
@@ -311,46 +337,5 @@ def rank_mod_p(matrix: ExactMatrix, p: int) -> int:
         x = v.numerator * pow(v.denominator, -1, p) % p
         if x:
             rows[i][j] = x
-    col_rows: dict[int, set] = {}
-    for r, row in enumerate(rows):
-        for j in row:
-            col_rows.setdefault(j, set()).add(r)
-    rk = 0
-    while True:
-        best = None
-        for j, rs in col_rows.items():
-            if not rs:
-                continue
-            cand = (len(rs), j)
-            if best is None or cand < best[0]:
-                rws = sorted(rs, key=lambda r: (len(rows[r]), r))
-                best = (cand, j, rws[0])
-        if best is None:
-            break
-        _, col, piv = best
-        pivrow = rows[piv]
-        pinv = pow(pivrow[col], -1, p)
-        for r in sorted(col_rows[col]):
-            if r == piv:
-                continue
-            row = rows[r]
-            m = row[col] * pinv % p
-            new = {}
-            for j, x in row.items():
-                y = (x - m * pivrow.get(j, 0)) % p
-                if y:
-                    new[j] = y
-                else:
-                    col_rows[j].discard(r)
-            for j, x in pivrow.items():
-                if j not in row:
-                    y = -m * x % p
-                    if y:
-                        new[j] = y
-                        col_rows.setdefault(j, set()).add(r)
-            rows[r] = new
-        for j in pivrow:
-            col_rows[j].discard(piv)
-        del col_rows[col]
-        rk += 1
-    return rk
+    pivots, _ = _eliminate(rows, p)
+    return len(pivots)

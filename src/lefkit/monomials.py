@@ -419,6 +419,11 @@ class ArtinianFrame:
         if isinstance(caps, int):
             caps = {v: caps for v in complex.vertices}
         elif not isinstance(caps, dict):
+            caps = list(caps)
+            if len(caps) != len(complex.vertices):
+                raise RangeError(
+                    f"{len(caps)} positional caps for {len(complex.vertices)} vertices"
+                )
             caps = dict(zip(complex.vertices, caps))
         if set(caps) != set(complex.vertices):
             raise RangeError("caps must cover exactly the vertex set")

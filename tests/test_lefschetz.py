@@ -16,6 +16,7 @@ from lefkit.errors import (
     RangeError,
 )
 from lefkit.lefschetz import (
+    SlpReport,
     SopCandidate,
     colored_dual_generator,
     colored_sop,
@@ -239,7 +240,92 @@ class TestWlp:
         assert verify_unexpected(scaled, cand, L, 2, 3).overall
 
 
+def random_connected_graph(rng, n, m):
+    """Connected graph on n vertices with m edges: a random tree plus
+    random extra edges."""
+    edges = {frozenset((v, rng.randrange(1, v))) for v in range(2, n + 1)}
+    while len(edges) < m:
+        a, b = rng.sample(range(1, n + 1), 2)
+        edges.add(frozenset((a, b)))
+    return from_facets([set(e) for e in edges])
+
+
+def random_graph_frames(seed, caps_range):
+    rng = random.Random(seed)
+    for _ in range(10):
+        n = rng.randint(3, 7)
+        m = rng.randint(n - 1, n * (n - 1) // 2)
+        g = random_connected_graph(rng, n, m)
+        for caps in caps_range:
+            yield ArtinianFrame(g, caps)
+
+
+def direct_ranks(frame, form, degrees):
+    return [linalg.rank(multiplication_matrix(frame, form, k)) for k in degrees]
+
+
+class TestOntoPropagation:
+    """Ranks inferred after ×L becomes onto against direct elimination."""
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_fixture_ranks_match_direct(self, cx, name):
+        for caps in (2, 3, 4, 5):
+            frame = ArtinianFrame(cx(name), caps)
+            report = wlp_check(frame)
+            direct = direct_ranks(frame, frame.linear_form(), range(report.socle_degree))
+            assert [p.rank for p in report.per_degree] == direct, (name, caps)
+
+    def test_random_graph_ranks_match_direct(self):
+        for frame in random_graph_frames(2011, (2, 3, 4)):
+            report = wlp_check(frame)
+            direct = direct_ranks(frame, frame.linear_form(), range(report.socle_degree))
+            assert [p.rank for p in report.per_degree] == direct, frame
+
+    def test_onto_degrees_are_not_eliminated(self, cx, monkeypatch):
+        calls = []
+        real_rank = linalg.rank
+
+        def counting_rank(matrix):
+            calls.append(matrix)
+            return real_rank(matrix)
+
+        monkeypatch.setattr(linalg, "rank", counting_rank)
+        report = wlp_check(ArtinianFrame(cx("OCT"), 3))
+        first_onto = next(p.k for p in report.per_degree if p.rank == p.dim_to)
+        assert first_onto < report.socle_degree - 1
+        assert len(calls) == first_onto + 1
+
+
+def slp_reference(frame):
+    """``slp_check`` with every rank computed by elimination."""
+    L = frame.linear_form()
+    socle = frame.socle_degree()
+    per = []
+    power = Polynomial.constant(1)
+    for j in range(1, socle + 1):
+        power = power * L
+        for i in range(socle - j + 1):
+            a = hilbert_function(frame, i)
+            b = hilbert_function(frame, i + j)
+            r = linalg.rank(multiplication_matrix(frame, power, i))
+            per.append((j, i, a, b, r, r == min(a, b)))
+    return SlpReport(all(p[5] for p in per), socle, tuple(per))
+
+
 class TestSlp:
+    @pytest.mark.parametrize(
+        "name, caps",
+        [("OCT", 2), ("OCT", 3), ("C4", 2), ("C4", 4), ("EDGE", 3),
+         ("PATH3", 4), ("FAN4", 2), ("DUNCE", 2), ("CROSS4", 2)],
+    )
+    def test_skipped_ranks_match_reference(self, cx, name, caps):
+        frame = ArtinianFrame(cx(name), caps)
+        assert slp_check(frame) == slp_reference(frame)
+
+    def test_skipped_ranks_match_reference_on_random_graphs(self):
+        for frame in random_graph_frames(1984, (2, 3)):
+            assert slp_check(frame) == slp_reference(frame), frame
+
     def test_single_variable(self):
         frame = ArtinianFrame(from_facets([{1}]), 4)
         assert slp_check(frame).holds

@@ -1,14 +1,26 @@
 """Exact rank, kernel and modular screening."""
 
+import copy
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lefkit import fixtures
 from lefkit.errors import InvalidModulus
-from lefkit.linalg import ExactMatrix, kernel_basis, rank, rank_mod_p
+from lefkit.linalg import (
+    ExactMatrix,
+    _eliminate,
+    _integer_rows,
+    _normalize_row,
+    kernel_basis,
+    rank,
+    rank_mod_p,
+)
+from lefkit.monomials import ArtinianFrame, multiplication_matrix
 
 
 def cycle_signless_incidence(n):
@@ -145,6 +157,125 @@ class TestProperties:
         assert kb.dimension + rank(m) == m.cols
         for v in kb.vectors:
             assert all(x == 0 for x in m.apply(v))
+
+
+def reference_eliminate(rows):
+    """Linear-scan pivot search: every column is scanned for every pivot.
+
+    The reference for ``_eliminate``, which must choose the same pivots
+    and leave the same rows.
+    """
+    col_rows = {}
+    for r, row in enumerate(rows):
+        for j in row:
+            col_rows.setdefault(j, set()).add(r)
+    pivots = []
+    while True:
+        best = None
+        for j, rs in col_rows.items():
+            if not rs:
+                continue
+            cand = (len(rs), j)
+            if best is None or cand < best[0]:
+                rws = sorted(rs, key=lambda r: (len(rows[r]), r))
+                best = (cand, j, rws[0])
+        if best is None:
+            break
+        _, col, piv = best
+        pivrow = rows[piv]
+        p = pivrow[col]
+        for r in sorted(col_rows[col]):
+            if r == piv:
+                continue
+            row = rows[r]
+            v = row[col]
+            g = math.gcd(p, v)
+            mp, mv = p // g, v // g
+            new = {}
+            for j, x in row.items():
+                y = x * mp - mv * pivrow.get(j, 0)
+                if y:
+                    new[j] = y
+                else:
+                    col_rows[j].discard(r)
+            for j, x in pivrow.items():
+                if j not in row:
+                    new[j] = -mv * x
+                    col_rows.setdefault(j, set()).add(r)
+            rows[r] = _normalize_row(new)
+        for j in pivrow:
+            col_rows[j].discard(piv)
+        del col_rows[col]
+        pivots.append((piv, col))
+    return pivots, rows
+
+
+def dense_rank_mod_p(data, p):
+    """Row reduction of a dense integer matrix over GF(p)."""
+    rows = [[x % p for x in row] for row in data]
+    rk = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rk, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        inv = pow(rows[rk][c], -1, p)
+        for r in range(rk + 1, len(rows)):
+            f = rows[r][c] * inv % p
+            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rk])]
+        rk += 1
+    return rk
+
+
+@st.composite
+def integer_row_lists(draw):
+    """Sparse integer rows with empty rows and columns and repeated rows."""
+    cols = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-60, 60))
+    distinct = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    if not distinct:
+        return [], cols
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=9))
+    return [list(distinct[i]) for i in picks], cols
+
+
+def _row_dicts(data):
+    return [{j: v for j, v in enumerate(row) if v} for row in data]
+
+
+class TestPivotOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_row_lists())
+    @example(([[0, 0, 0], [0, 0, 0]], 3))
+    @example(([[2, 4, 0], [2, 4, 0], [0, 0, 0], [1, 2, 0]], 3))
+    def test_same_pivots_and_rows_as_linear_scan(self, case):
+        data, _ = case
+        rows = _row_dicts(data)
+        assert _eliminate(copy.deepcopy(rows)) == reference_eliminate(copy.deepcopy(rows))
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_same_pivots_and_rows_on_fixture_maps(self, cx, name):
+        for caps in (2, 3):
+            frame = ArtinianFrame(cx(name), caps)
+            for k in range(frame.socle_degree()):
+                rows = _integer_rows(multiplication_matrix(frame, frame.linear_form(), k))
+                got = _eliminate(copy.deepcopy(rows))
+                assert got == reference_eliminate(copy.deepcopy(rows)), (name, caps, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_row_lists(), st.sampled_from([2, 3, 5, 7, 10007]))
+    def test_rank_mod_p_is_lower_bound(self, case, p):
+        data, cols = case
+        m = ExactMatrix.from_dense(data) if data else ExactMatrix(0, cols)
+        assert rank_mod_p(m, p) <= rank(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_row_lists(), st.sampled_from([2, 3, 5, 7, 10007]))
+    @example(([[2, 1], [1, 2]], 2), 3)  # the combined row is 3 * (0, 1)
+    def test_rank_mod_p_matches_dense_reduction(self, case, p):
+        data, cols = case
+        m = ExactMatrix.from_dense(data) if data else ExactMatrix(0, cols)
+        assert rank_mod_p(m, p) == dense_rank_mod_p(data, p)
 
 
 class TestJson:

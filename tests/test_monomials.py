@@ -179,6 +179,14 @@ class TestStandardBasis:
         with pytest.raises(RangeError):
             ArtinianFrame(cx("EDGE"), 1)
 
+    def test_positional_caps_length_must_match(self, cx):
+        oct_ = cx("OCT")
+        with pytest.raises(RangeError):
+            ArtinianFrame(oct_, [2] * 6 + [9, 9])
+        with pytest.raises(RangeError):
+            ArtinianFrame(oct_, [2] * 5)
+        assert ArtinianFrame(oct_, [2] * 6) == ArtinianFrame(oct_, 2)
+
     def test_vector_caps(self, cx):
         frame = ArtinianFrame(cx("EDGE"), {1: 2, 2: 3})
         values = [hilbert_function(frame, k) for k in range(5)]

@@ -11,17 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import lefschetz as lf
 from . import linalg, monomials, subdivision
 from . import complexes
 from .errors import FalsificationError, HypothesisError, LefkitError, ParseError
 from .monomials import ArtinianFrame, parse_polynomial
-
-
-def _load_complex(path):
-    return complexes.load_complex(path)
 
 
 def _parse_caps(text):
@@ -46,12 +41,6 @@ def _parse_forms(text):
             raise ParseError(f"{text} must hold a JSON array of polynomial strings")
         return [parse_polynomial(s) for s in items]
     return [parse_polynomial(piece) for piece in text.split(";") if piece.strip()]
-
-
-def _frac(v):
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
 
 
 def _emit(args, payload):
@@ -93,7 +82,7 @@ def _wlp_payload(report, frame, args):
 
 
 def cmd_info(args):
-    cx = _load_complex(args.complex)
+    cx = complexes.load_complex(args.complex)
     profile = complexes.fh_profile(cx)
     cm = complexes.is_cohen_macaulay(cx)
     pm = complexes.pseudomanifold_status(cx)
@@ -133,7 +122,7 @@ def cmd_info(args):
 
 
 def cmd_hf(args):
-    cx = _load_complex(args.complex)
+    cx = complexes.load_complex(args.complex)
     if args.degrees:
         degrees = [int(d) for d in args.degrees.split(",")]
     else:
@@ -164,7 +153,7 @@ def cmd_hf(args):
 
 
 def cmd_wlp(args):
-    cx = _load_complex(args.complex)
+    cx = complexes.load_complex(args.complex)
     frame = ArtinianFrame(cx, _parse_caps(args.caps))
     report = lf.wlp_check(frame)
     _emit(args, {"name": cx.name, "caps": args.caps, "wlp": _wlp_payload(report, frame, args)})
@@ -172,7 +161,7 @@ def cmd_wlp(args):
 
 
 def cmd_slp(args):
-    cx = _load_complex(args.complex)
+    cx = complexes.load_complex(args.complex)
     frame = ArtinianFrame(cx, _parse_caps(args.caps))
     report = lf.slp_check(frame)
     per = [
@@ -198,7 +187,7 @@ def cmd_slp(args):
 
 
 def cmd_kernel(args):
-    cx = _load_complex(args.complex)
+    cx = complexes.load_complex(args.complex)
     frame = ArtinianFrame(cx, _parse_caps(args.caps))
     piece = lf.kernel_transpose_basis(frame, args.degree)
     payload = {
@@ -230,14 +219,14 @@ def cmd_kernel(args):
 
 
 def cmd_hesd(args):
-    cx = _load_complex(args.complex)
+    cx = complexes.load_complex(args.complex)
     sub = subdivision.hesd(cx, args.r)
     _emit(args, sub.to_json_dict())
     return 0
 
 
 def cmd_incidence(args):
-    cx = _load_complex(args.complex)
+    cx = complexes.load_complex(args.complex)
     inc = subdivision.incidence_complex(cx, args.i)
     _emit(args, inc.to_json_dict())
     return 0
@@ -247,7 +236,7 @@ def cmd_spread(args):
     if bool(args.complex) == bool(args.ideal):
         raise ParseError("spread needs exactly one of --complex or --ideal")
     if args.complex:
-        cx = _load_complex(args.complex)
+        cx = complexes.load_complex(args.complex)
         ideal = monomials.facet_ideal(cx)
         source = {"complex": cx.name or args.complex, "ideal": "facet ideal"}
     else:
@@ -272,7 +261,7 @@ def cmd_spread(args):
 
 
 def cmd_collapse(args):
-    cx = _load_complex(args.complex)
+    cx = complexes.load_complex(args.complex)
     cert = complexes.collapse_search(cx, args.target, args.budget)
     if cert is None:
         payload = {"name": cx.name, "target_dim": args.target, "found": False}
@@ -291,7 +280,7 @@ def cmd_collapse(args):
 
 
 def cmd_colored_sop(args):
-    cx = _load_complex(args.complex)
+    cx = complexes.load_complex(args.complex)
     coloring = complexes.balanced_coloring(cx)
     if coloring is None:
         raise HypothesisError("complex is not balanced: no proper (d+1)-coloring exists")
@@ -309,7 +298,7 @@ def cmd_colored_sop(args):
 
 
 def cmd_dual_gen(args):
-    cx = _load_complex(args.complex)
+    cx = complexes.load_complex(args.complex)
     coloring = complexes.balanced_coloring(cx)
     if coloring is None:
         raise HypothesisError("complex is not balanced")
@@ -319,7 +308,7 @@ def cmd_dual_gen(args):
 
 
 def cmd_sop_verify(args):
-    cx = _load_complex(args.complex)
+    cx = complexes.load_complex(args.complex)
     theta = _parse_forms(args.sop)
     f = parse_polynomial(args.f)
     cand = lf.SopCandidate.make(theta)

@@ -59,9 +59,6 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) == 1
 
-    def f_count(self, k: int) -> int:
-        return len(faces(self, k)) if -1 <= k <= self.dim else 0
-
     def all_faces(self) -> tuple:
         return _all_faces(self)
 
@@ -99,11 +96,9 @@ class SimplicialComplex:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimplicialComplex":
         try:
-            cx = from_facets(obj["facets"])
+            cx = from_facets(obj["facets"], obj.get("name", ""), obj.get("meta"))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad complex JSON: {exc}") from exc
-        cx.name = obj.get("name", "")
-        cx.meta = dict(obj.get("meta") or {})
         declared = set(obj.get("vertices", cx.vertices))
         if declared and not set(cx.vertices) <= declared:
             raise ParseError("facet vertices missing from declared vertex list")
@@ -199,7 +194,7 @@ class CollapseCertificate:
     residual: SimplicialComplex
 
 
-def from_facets(facet_list) -> SimplicialComplex:
+def from_facets(facet_list, name="", meta=None) -> SimplicialComplex:
     """Canonical complex from a list of vertex sets.
 
     Facets contained in other facets are dropped; the empty complex is
@@ -212,10 +207,10 @@ def from_facets(facet_list) -> SimplicialComplex:
         fs = frozenset(f)
         if not fs:
             raise InvalidComplex("empty facet")
-    return SimplicialComplex(facet_list)
+    return SimplicialComplex(facet_list, name=name, meta=meta)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _all_faces(cx: SimplicialComplex) -> tuple:
     seen = {frozenset()}
     for f in cx.facets:
@@ -284,7 +279,7 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> linalg.ExactMatrix:
     return linalg.ExactMatrix(len(lo), len(hi), entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def homology(cx: SimplicialComplex) -> HomologyReport:
     """Reduced rational homology from exact boundary matrices."""
     d = cx.dim
@@ -305,7 +300,7 @@ def homology(cx: SimplicialComplex) -> HomologyReport:
     return HomologyReport(tuple(ranks), top_cycle)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def is_cohen_macaulay(cx: SimplicialComplex) -> CMReport:
     """Reisner's criterion: links have no reduced homology below top dimension."""
     for sigma in _all_faces(cx):
@@ -325,31 +320,41 @@ def _ridge_degrees(cx: SimplicialComplex):
     return deg
 
 
-def _facet_adjacency(cx: SimplicialComplex):
-    n = len(cx.facets)
-    adj = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            cap = cx.facets[i] & cx.facets[j]
-            if len(cap) == len(cx.facets[i]) - 1 == len(cx.facets[j]) - 1:
-                adj[i].add(j)
-                adj[j].add(i)
+def _adjacency(nodes, edges):
+    """Neighbour sets of the graph on nodes with the given two-element edges."""
+    adj = {u: set() for u in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
     return adj
+
+
+def _reachable(adj, start) -> set:
+    """Nodes reachable from start in an adjacency mapping."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in adj[stack.pop()] - seen:
+            seen.add(v)
+            stack.append(v)
+    return seen
+
+
+def _ridge_pairs(facets):
+    """Index pairs (i < j) of equal-size facets that meet in a ridge."""
+    return [
+        (i, j)
+        for i in range(len(facets))
+        for j in range(i + 1, len(facets))
+        if len(facets[i]) == len(facets[j]) == len(facets[i] & facets[j]) + 1
+    ]
 
 
 def pseudomanifold_status(cx: SimplicialComplex) -> PseudomanifoldStatus:
     """Purity, strong connectivity, ridge degrees, boundary and orientability."""
     pure = cx.is_pure()
-    adj = _facet_adjacency(cx)
-    seen = {0}
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    strongly_connected = len(seen) == len(cx.facets)
+    adj = _adjacency(range(len(cx.facets)), _ridge_pairs(cx.facets))
+    strongly_connected = len(_reachable(adj, 0)) == len(cx.facets)
     deg = _ridge_degrees(cx)
     max_deg = max(deg.values()) if deg else 0
     boundary_ridges = [r for r, c in sorted(deg.items(), key=lambda kv: sorted(kv[0])) if c == 1]
@@ -360,7 +365,7 @@ def pseudomanifold_status(cx: SimplicialComplex) -> PseudomanifoldStatus:
     return PseudomanifoldStatus(pure, strongly_connected, max_deg, boundary, orientable)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def is_homology_sphere(cx: SimplicialComplex) -> bool:
     """True when every link has the rational homology of a sphere of its dimension."""
     for sigma in _all_faces(cx):
@@ -383,11 +388,7 @@ def balanced_coloring(cx: SimplicialComplex) -> Optional[Coloring]:
         raise PurityError("balancedness presumes a pure complex")
     k = cx.dim + 1
     verts = list(cx.vertices)
-    adj = {v: set() for v in verts}
-    for e in one_skeleton_edges(cx):
-        a, b = sorted(e)
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = _adjacency(verts, one_skeleton_edges(cx))
     assignment = {}
 
     def backtrack(idx):
@@ -410,9 +411,6 @@ def balanced_coloring(cx: SimplicialComplex) -> Optional[Coloring]:
 
 def _face_poset(face_set):
     """Map each face to the faces strictly containing it (within face_set)."""
-    by_size = {}
-    for f in face_set:
-        by_size.setdefault(len(f), []).append(f)
     cofaces = {f: set() for f in face_set}
     for f in face_set:
         for g in face_set:

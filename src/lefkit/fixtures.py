@@ -1,107 +1,24 @@
 """Canonical fixtures shipped with the package.
 
-Each fixture also exists as a JSON file under ``lefkit/fixtures/`` in the
-documented complex interchange format; ``load`` reads from those files so
-the shipped data is what gets tested.
+Each fixture is a JSON file under ``lefkit/fixtures/`` in the documented
+complex interchange format, so the shipped data is what gets tested.
+Where a complex has a provenance, its ``meta`` records it as ``source``.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .complexes import SimplicialComplex, from_facets
+from .complexes import SimplicialComplex, load_complex
 
-OCT_FACETS = [
-    {1, 3, 5}, {1, 4, 5}, {1, 3, 6}, {1, 4, 6},
-    {2, 3, 5}, {2, 4, 5}, {2, 3, 6}, {2, 4, 6},
-]
-
-# boundary of the 4-dimensional crosspolytope: pick one vertex from each
-# of the pairs {1,2},{3,4},{5,6},{7,8}
-CROSS4_FACETS = [
-    {a, b, c, d}
-    for a in (1, 2)
-    for b in (3, 4)
-    for c in (5, 6)
-    for d in (7, 8)
-]
-
-FAN4_FACETS = [{1, 2, 4}, {2, 4, 5}, {2, 3, 5}, {4, 5, 6}]
-
-# 8-vertex, 17-triangle triangulation of the dunce hat (boundary circle
-# 1-3-2 traversed three times); validated by the test suite: contractible,
-# Cohen-Macaulay, and without any free face
-DUNCE_FACETS = [
-    {1, 3, 5}, {2, 3, 5}, {1, 2, 4}, {2, 4, 5}, {1, 3, 4},
-    {3, 4, 8}, {2, 3, 8}, {1, 2, 8}, {1, 7, 8}, {1, 2, 7},
-    {2, 3, 7}, {3, 6, 7}, {1, 3, 6}, {1, 5, 6}, {4, 5, 6},
-    {4, 6, 8}, {6, 7, 8},
-]
-
-# Stanley-Reisner complex of (x1x4, x1x5, x2x4, x2x5, x3x4, x3x5, x4x5,
-# x1y1, ..., x5y5) with y_i interned as vertex 5+i; a shellable 4-ball
-BALL10_FACETS = [
-    {6, 7, 8, 9, 10},
-    {1, 7, 8, 9, 10},
-    {2, 6, 8, 9, 10},
-    {3, 6, 7, 9, 10},
-    {1, 2, 8, 9, 10},
-    {1, 3, 7, 9, 10},
-    {2, 3, 6, 9, 10},
-    {1, 2, 3, 9, 10},
-    {4, 6, 7, 8, 10},
-    {5, 6, 7, 8, 9},
-]
-
-C3_FACETS = [{1, 2}, {2, 3}, {1, 3}]
-C4_FACETS = [{1, 2}, {2, 3}, {3, 4}, {1, 4}]
-EDGE_FACETS = [{1, 2}]
-PATH3_FACETS = [{1, 2}, {2, 3}]
-
-_CATALOG = {
-    "OCT": (OCT_FACETS, {"is_simplicial_sphere": True}),
-    "CROSS4": (CROSS4_FACETS, {"is_simplicial_sphere": True}),
-    "FAN4": (FAN4_FACETS, {"declared_collapsible": True}),
-    "DUNCE": (DUNCE_FACETS, {"declared_collapsible": False}),
-    "BALL10": (BALL10_FACETS, {"declared_collapsible": True}),
-    "C3": (C3_FACETS, {"is_simplicial_sphere": True}),
-    "C4": (C4_FACETS, {"is_simplicial_sphere": True}),
-    "EDGE": (EDGE_FACETS, {}),
-    "PATH3": (PATH3_FACETS, {}),
-}
-
-FIXTURE_NAMES = tuple(_CATALOG)
+FIXTURE_NAMES = ("OCT", "CROSS4", "FAN4", "DUNCE", "BALL10", "C3", "C4", "EDGE", "PATH3")
 
 DECLARED_SPHERES = ("OCT", "CROSS4", "C3", "C4")
 GRAPH_FIXTURES = ("C3", "C4", "EDGE", "PATH3")
-
-
-def build(name: str) -> SimplicialComplex:
-    """Construct a fixture from its facet list (no file access)."""
-    facets, meta = _CATALOG[name.upper()]
-    cx = from_facets(facets)
-    cx.name = name.upper()
-    cx.meta = dict(meta)
-    return cx
 
 
 def load(name: str) -> SimplicialComplex:
     """Load a fixture from its shipped JSON file."""
     ref = resources.files(__package__).joinpath("fixtures", f"{name.lower()}.json")
     with resources.as_file(ref) as path:
-        from .complexes import load_complex
-
         return load_complex(path)
-
-
-def write_fixture_files(directory) -> None:
-    """Regenerate the shipped JSON files (used at development time)."""
-    import json
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    for name in _CATALOG:
-        cx = build(name)
-        obj = cx.to_json_dict()
-        path = directory / f"{name.lower()}.json"
-        path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -14,10 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import linalg, subdivision
-from .complexes import Coloring, SimplicialComplex, fh_profile, is_homology_sphere
+from .complexes import (
+    Coloring,
+    SimplicialComplex,
+    _adjacency,
+    _reachable,
+    fh_profile,
+    is_cohen_macaulay,
+    is_homology_sphere,
+)
 from .errors import (
     ArityError,
     ColoringError,
@@ -149,91 +158,98 @@ def _validate_extra(cx, extra):
             )
 
 
-def _split_generators(cx, extra, degree_cap):
-    """Fold pure powers into caps; other monomials stay divisibility
-    filters; everything else contributes span rows."""
-    caps = {v: degree_cap + 1 for v in cx.vertices}
-    mono_filters = []
-    others = []
-    for g in extra:
-        if g.is_zero():
-            continue
-        if g.is_monomial():
-            m = next(iter(g.terms))
-            if len(m.exps) == 1:
-                v, e = m.exps[0]
-                caps[v] = min(caps[v], e)
-            else:
-                mono_filters.append(m)
-        else:
-            others.append(g)
-    return caps, mono_filters, others
-
-
 def _survives(m, mono_filters):
     return not any(f.divides(m) for f in mono_filters)
 
 
-def _span_rows(cx, extra, k):
-    """Degree-k span of (extra) inside the face-monomial basis.
+def _graded_basis(cx, extra, k):
+    """Degree-k coordinates of the quotient by extra.
 
-    Returns (basis, rows) where rows are sparse vectors over the basis.
+    Generators above degree k do not reach degree k and are dropped.  Pure
+    powers fold into exponent caps and other monomials stay divisibility
+    filters.  Returns the caps, the filters, the surviving face monomials
+    (in order) and the remaining generators, which need span rows.
     """
-    _validate_extra(cx, extra)
-    caps, mono_filters, others = _split_generators(cx, extra, k)
-    basis = [m for m in face_monomials(cx, k, caps) if _survives(m, mono_filters)]
-    col = {m: j for j, m in enumerate(basis)}
-    rows = []
-    for g in others:
-        dg = g.degree()
-        if dg > k:
+    caps = {v: k + 1 for v in cx.vertices}
+    mono_filters = []
+    others = []
+    for g in extra:
+        if g.is_zero() or g.degree() > k:
             continue
-        for m in face_monomials(cx, k - dg, caps):
+        if not g.is_monomial():
+            others.append(g)
+            continue
+        m = next(iter(g.terms))
+        if len(m.exps) == 1:
+            v, e = m.exps[0]
+            caps[v] = min(caps[v], e)
+        else:
+            mono_filters.append(m)
+    cols = [m for m in face_monomials(cx, k, caps) if _survives(m, mono_filters)]
+    return caps, mono_filters, cols, others
+
+
+@lru_cache(maxsize=1024)
+def _hilbert(cx, extra: tuple, k: int) -> int:
+    """Degree-k dimension of the quotient by extra: the surviving face
+    monomials minus the rank of the span of the other generators.
+
+    Only the value is memoised: vanishing scans, inverse-system pieces and
+    membership tests ask for the same degrees over and over, and an int
+    costs next to nothing to keep, where span rows would not.
+    """
+    caps, mono_filters, cols, others = _graded_basis(cx, extra, k)
+    col = {m: j for j, m in enumerate(cols)}
+    entries = {}
+    i = 0
+    for g in others:
+        for m in face_monomials(cx, k - g.degree(), caps):
             if not _survives(m, mono_filters):
                 continue
-            vec = {}
             for mg, cg in g.terms.items():
                 j = col.get(m.times(mg))
                 if j is not None:
-                    vec[j] = vec.get(j, Fraction(0)) + cg
-            vec = {j: c for j, c in vec.items() if c}
-            if vec:
-                rows.append(vec)
-    return basis, rows
-
-
-def _rows_rank(rows, ncols):
-    if not rows:
-        return 0
-    entries = {}
-    for i, vec in enumerate(rows):
-        for j, c in vec.items():
-            entries[(i, j)] = c
-    return linalg.rank(linalg.ExactMatrix(len(rows), ncols, entries))
+                    entries[i, j] = entries.get((i, j), 0) + cg
+            i += 1
+    span = linalg.ExactMatrix(i, len(cols), entries)
+    return len(cols) - (linalg.rank(span) if span.entries else 0)
 
 
 def quotient_hilbert(cx: SimplicialComplex, extra, k: int) -> int:
     """Dimension of the degree-k piece of the Stanley-Reisner quotient by
     additional homogeneous forms."""
-    if k < 0:
-        return 0
-    basis, rows = _span_rows(cx, extra, k)
-    return len(basis) - _rows_rank(rows, len(basis))
+    _validate_extra(cx, extra)
+    return _hilbert(cx, tuple(extra), k) if k >= 0 else 0
 
 
 def _vanishing_bound(cx, extra):
-    h_degree = fh_profile(cx).h_degree
-    return 1 + h_degree + sum(max(g.degree() - 1, 0) for g in extra)
+    """A degree where the quotient by extra vanishes if it is artinian.
+
+    On a Cohen-Macaulay complex that is 1 + deg h + sum(deg g - 1).  For
+    linear forms on any complex it is dim + 2: artinian means every face
+    restriction of the forms has full rank (Kind-Kleinschmidt), so a face
+    monomial with an exponent >= 2 is, modulo the forms, a combination of
+    monomials on strictly larger faces, and the squarefree face monomials,
+    of degree at most dim + 1, span the quotient.  No other bound is
+    proven, so anything else is refused.
+    """
+    if is_cohen_macaulay(cx):
+        return 1 + fh_profile(cx).h_degree + sum(max(g.degree() - 1, 0) for g in extra)
+    if all(g.degree() <= 1 for g in extra):
+        return cx.dim + 2
+    raise HypothesisError(
+        "no proven vanishing bound for forms of degree > 1 on a non-Cohen-Macaulay complex"
+    )
 
 
-def _first_vanishing(cx, extra):
+def _first_vanishing(cx, extra: tuple):
     """First degree where the quotient Hilbert function vanishes, scanning
-    up to the sop bound; None if it stays positive that far."""
+    up to the vanishing bound; None if it stays positive that far."""
+    _validate_extra(cx, extra)
     values = []
     for k in range(_vanishing_bound(cx, extra) + 1):
-        v = quotient_hilbert(cx, extra, k)
-        values.append(v)
-        if v == 0:
+        values.append(_hilbert(cx, extra, k))
+        if values[-1] == 0:
             return k, tuple(values)
     return None, tuple(values)
 
@@ -243,7 +259,7 @@ def is_sop(cx: SimplicialComplex, cand: SopCandidate) -> SopCheck:
 
     The quotient of a standard graded algebra is zero from the first
     degree where it vanishes, and for a sop that happens no later than
-    1 + sum(deg theta_i - 1) + deg h; scanning up to that bound decides.
+    the vanishing bound; scanning up to that bound decides.
     """
     d = cx.dim
     if len(cand.theta) != d + 1:
@@ -254,60 +270,48 @@ def is_sop(cx: SimplicialComplex, cand: SopCandidate) -> SopCheck:
 
 def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemPiece:
     """Degree-k piece of the inverse system of the Stanley-Reisner ideal
-    plus extra forms, as a kernel over face-supported monomials."""
-    _validate_extra(cx, extra)
-    vanish, _ = _first_vanishing(cx, extra)
-    if vanish is None:
+    plus extra forms, as a kernel over face-supported monomials.
+
+    The contraction matrix is built here, not from span rows, so Macaulay
+    duality stays an independent check of the quotient dimensions.
+    """
+    extra = tuple(extra)
+    if _first_vanishing(cx, extra)[0] is None:
         raise NotArtinian("quotient Hilbert function does not vanish by the sop bound")
-    caps, mono_filters, others = _split_generators(cx, extra, k)
-    cols = [m for m in face_monomials(cx, k, caps) if _survives(m, mono_filters)]
-    col = {m: j for j, m in enumerate(cols)}
+    _, _, cols, others = _graded_basis(cx, extra, k)
     row_index = {}
     entries = {}
     for g in others:
-        dg = g.degree()
         for j, b in enumerate(cols):
             for ma, ca in g.terms.items():
                 if ma.divides(b):
-                    key = (g, b.divide(ma))
-                    i = row_index.setdefault(key, len(row_index))
-                    entries[(i, j)] = entries.get((i, j), Fraction(0)) + ca
-    mat = linalg.ExactMatrix(len(row_index), len(cols), {k_: v for k_, v in entries.items() if v})
-    kb = linalg.kernel_basis(mat)
+                    i = row_index.setdefault((g, b.divide(ma)), len(row_index))
+                    entries[i, j] = entries.get((i, j), 0) + ca
+    kb = linalg.kernel_basis(linalg.ExactMatrix(len(row_index), len(cols), entries))
     basis = tuple(
         Polynomial({cols[j]: c for j, c in enumerate(vec) if c}) for vec in kb.vectors
     )
     return InverseSystemPiece(k, basis)
 
 
-def _membership(cx, extra, g):
-    """Span-rank membership of g in the Stanley-Reisner ideal plus extra."""
-    if not g.is_homogeneous():
-        raise HomogeneityError(f"membership needs a homogeneous form, got {g}")
+def _membership(cx, extra: tuple, g):
+    """g lies in the Stanley-Reisner ideal plus extra exactly when adding
+    it as a generator leaves the degree-(deg g) quotient unchanged."""
     _validate_extra(cx, [g])
+    if g.is_zero():
+        return True
     k = g.degree()
-    if k < 0:
-        return True
-    basis, rows = _span_rows(cx, extra, k)
-    col = {m: j for j, m in enumerate(basis)}
-    gvec = {}
-    for m, c in g.terms.items():
-        j = col.get(m)
-        if j is not None:
-            gvec[j] = gvec.get(j, Fraction(0)) + c
-    gvec = {j: c for j, c in gvec.items() if c}
-    if not gvec:
-        return True
-    base_rank = _rows_rank(rows, len(basis))
-    return _rows_rank(rows + [gvec], len(basis)) == base_rank
+    # the value with g is not memoised: each g is asked about once, and its
+    # cache key would keep g alive for the rest of the process
+    return _hilbert.__wrapped__(cx, extra + (g,), k) == _hilbert(cx, extra, k)
 
 
 def ideal_membership(cx: SimplicialComplex, extra, g: Polynomial) -> bool:
     """Exact membership test by span rank (the inverse-system annihilation
     test is available through inverse_system_piece as an independent
     oracle)."""
-    vanish, _ = _first_vanishing(cx, extra)
-    if vanish is None:
+    extra = tuple(extra)
+    if _first_vanishing(cx, extra)[0] is None:
         raise NotArtinian("membership is supported for artinian quotients only")
     return _membership(cx, extra, g)
 
@@ -522,20 +526,8 @@ def graph_wlp_classifier(graph: SimplicialComplex, a: int) -> ClassifierResult:
         raise InputError("classifier input must be a graph (pure, dimension 1)")
     if a <= 1:
         raise RangeError("need a > 1")
-    adj = {v: set() for v in graph.vertices}
-    for e in graph.facets:
-        x, y = sorted(e)
-        adj[x].add(y)
-        adj[y].add(x)
-    seen = set()
-    stack = [graph.vertices[0]]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(adj[u] - seen)
-    if len(seen) != len(graph.vertices):
+    adj = _adjacency(graph.vertices, graph.facets)
+    if len(_reachable(adj, graph.vertices[0])) != len(graph.vertices):
         raise InputError("classifier input must be connected")
     v, e = len(graph.vertices), len(graph.facets)
     if v > e:

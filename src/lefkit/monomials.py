@@ -47,10 +47,6 @@ class Monomial:
         self._hash = hash(items)
 
     @classmethod
-    def one(cls) -> "Monomial":
-        return cls(())
-
-    @classmethod
     def variable(cls, v: int, power: int = 1) -> "Monomial":
         return cls(((v, power),)) if power else cls(())
 
@@ -68,11 +64,6 @@ class Monomial:
         d = dict(self.exps)
         for v, e in other.exps:
             d[v] = d.get(v, 0) + e
-        return Monomial(d)
-
-    def times_var(self, v: int) -> "Monomial":
-        d = dict(self.exps)
-        d[v] = d.get(v, 0) + 1
         return Monomial(d)
 
     def divides(self, other: "Monomial") -> bool:
@@ -293,10 +284,6 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(terms)
 
 
-def format_polynomial(poly: Polynomial) -> str:
-    return str(poly)
-
-
 def contract(g: Polynomial, F: Polynomial) -> Polynomial:
     """Contraction action of g on F, extended bilinearly.
 
@@ -372,10 +359,6 @@ class IdealPresentation:
                 vs.update(g.variables())
             variables = tuple(sorted(vs))
         return cls(gens, tuple(variables))
-
-    @property
-    def ambient_vars(self) -> int:
-        return len(self.variables)
 
     def degrees(self) -> tuple:
         return tuple(g.degree() for g in self.generators)
@@ -502,7 +485,7 @@ def face_monomials(cx: SimplicialComplex, k: int, caps: Optional[dict] = None):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _standard_basis_cached(frame: ArtinianFrame, k: int) -> tuple:
     return tuple(face_monomials(frame.complex, k, frame.cap_map))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, faces
+from .complexes import SimplicialComplex, _adjacency, _ridge_pairs, faces
 from .errors import DimensionError, NotIncidenceLike, PurityError
 
 
@@ -27,11 +27,7 @@ class FacetRidgeGraph:
     bipartition: Optional[tuple]
 
     def adjacency(self):
-        adj = {i: set() for i in range(len(self.nodes))}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+        return _adjacency(range(len(self.nodes)), self.edges)
 
 
 @dataclass(frozen=True)
@@ -47,11 +43,6 @@ class LatticePoint:
     @property
     def support(self) -> frozenset:
         return frozenset(i for i, c in enumerate(self.coords) if c)
-
-    def plus_unit(self, i: int) -> "LatticePoint":
-        c = list(self.coords)
-        c[i] += 1
-        return LatticePoint(tuple(c))
 
 
 @dataclass(frozen=True)
@@ -115,15 +106,10 @@ def is_bipartite(graph) -> BipartiteResult:
     if isinstance(graph, FacetRidgeGraph):
         return bipartition_of(graph.adjacency())
     if isinstance(graph, SimplicialComplex):
-        adj = {v: set() for v in graph.vertices}
         if graph.dim > 1:
             raise DimensionError("is_bipartite expects a graph")
-        for e in graph.facets:
-            if len(e) == 2:
-                a, b = sorted(e)
-                adj[a].add(b)
-                adj[b].add(a)
-        return bipartition_of(adj)
+        edges = [e for e in graph.facets if len(e) == 2]
+        return bipartition_of(_adjacency(graph.vertices, edges))
     return bipartition_of(graph)
 
 
@@ -131,18 +117,9 @@ def facet_ridge_graph(cx: SimplicialComplex) -> FacetRidgeGraph:
     """Facets joined whenever they meet in a ridge."""
     if not cx.is_pure():
         raise PurityError("facet-ridge graph needs a pure complex")
-    nodes = cx.facets
-    edges = []
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if len(nodes[i] & nodes[j]) == len(nodes[i]) - 1:
-                edges.append((i, j))
-    adj = {i: set() for i in range(len(nodes))}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    bip = bipartition_of(adj)
-    return FacetRidgeGraph(nodes, tuple(edges), bip.sides if bip else None)
+    edges = tuple(_ridge_pairs(cx.facets))
+    bip = bipartition_of(_adjacency(range(len(cx.facets)), edges))
+    return FacetRidgeGraph(cx.facets, edges, bip.sides if bip else None)
 
 
 def incidence_complex(cx: SimplicialComplex, i: int) -> SimplicialComplex:

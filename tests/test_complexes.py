@@ -219,6 +219,12 @@ class TestPseudomanifold:
         st = pseudomanifold_status(from_facets([{1, 2, 3}, {4, 5, 6}]))
         assert not st.strongly_connected
 
+    def test_triangle_and_edge_are_not_ridge_neighbours(self):
+        # a triangle and an edge meet in a vertex, which is a ridge of the
+        # edge only: facets of different sizes are never joined
+        st = pseudomanifold_status(from_facets([{1, 2, 3}, {3, 4}]))
+        assert not st.pure and not st.strongly_connected
+
     def test_dunce_overfull_ridges(self, cx):
         assert pseudomanifold_status(cx("DUNCE")).max_ridge_degree == 3
 
@@ -299,3 +305,12 @@ class TestCollapse:
         assert cert is not None
         assert cert.residual.dim == 0 and len(cert.residual.facets) == 1
         assert replay_collapse(ball, cert)
+
+
+def test_every_cache_is_bounded():
+    from lefkit import complexes, lefschetz, monomials
+
+    for module in (complexes, monomials, lefschetz):
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info"):
+                assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"

@@ -1,8 +1,13 @@
 """Lefschetz decisions, inverse systems and the unexpectedness verdict."""
 
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lefkit import linalg
 from lefkit.complexes import Coloring, balanced_coloring, from_facets
@@ -203,6 +208,102 @@ class TestIdealMembership:
             ideal_membership(complex_, list(cand.theta), P("x9"))
         with pytest.raises(PreconditionError):
             quotient_hilbert(complex_, [P("x1 + x9")], 1)
+
+
+def dense_rank(rows):
+    """Rank by plain Gaussian elimination over Fractions, independent of
+    lefkit.linalg."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def facet_rank_criterion(complex_, forms):
+    """Kind-Kleinschmidt: linear forms are a sop exactly when their
+    restrictions to every facet have full rank."""
+    return all(
+        dense_rank([[th.coefficient(Monomial({v: 1})) for v in sorted(F)] for th in forms])
+        == len(F)
+        for F in complex_.facets
+    )
+
+
+class TestNonCohenMacaulaySop:
+    """A triangle plus a disjoint edge is not Cohen-Macaulay (h = (1, 3, 0)),
+    so the Cohen-Macaulay bound 1 + deg h = 2 on the vanishing degree does
+    not apply to its quotients."""
+
+    def triangle_and_edge(self):
+        complex_ = from_facets([{1, 2}, {2, 3}, {1, 3}, {4, 5}])
+        return complex_, [P("x1 + 2 x2 + 3 x3 + x4"), P("x1 + x2 + x3 + x5")]
+
+    def test_linear_sop_accepted(self):
+        complex_, theta = self.triangle_and_edge()
+        assert facet_rank_criterion(complex_, theta)
+        check = is_sop(complex_, SopCandidate.make(theta))
+        assert (check.is_sop, check.vanishing_degree, check.hilbert_values) == (
+            True, 3, (1, 3, 1, 0))
+
+    def test_inverse_pieces_match_quotient(self):
+        complex_, theta = self.triangle_and_edge()
+        for k in range(5):
+            piece = inverse_system_piece(complex_, theta, k)
+            assert piece.dimension == quotient_hilbert(complex_, theta, k)
+
+    def test_membership_matches_pairing_oracle(self):
+        complex_, theta = self.triangle_and_edge()
+        forms = [
+            Polynomial.from_monomial(Monomial(Counter(combo)))
+            for k in range(1, 4)
+            for combo in combinations_with_replacement(complex_.vertices, k)
+        ]
+        forms += [P("x1 - x2"), P("x4 + x5"), P("x1*x2 - x2*x3"), P("x1^2 + x4^2")]
+        for g in forms:
+            piece = inverse_system_piece(complex_, theta, g.degree())
+            pairs_to_zero = all(
+                contract(g, F).coefficient(Monomial({})) == 0 for F in piece.basis
+            )
+            assert pairs_to_zero == ideal_membership(complex_, theta, g), g
+
+    def test_nonlinear_form_refused(self):
+        complex_, theta = self.triangle_and_edge()
+        theta[1] = P("x1^2 + x5^2")
+        with pytest.raises(HypothesisError):
+            is_sop(complex_, SopCandidate.make(theta))
+        with pytest.raises(HypothesisError):
+            inverse_system_piece(complex_, theta, 1)
+        with pytest.raises(HypothesisError):
+            ideal_membership(complex_, theta, P("x1"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        facets=st.lists(
+            st.frozensets(st.integers(1, 6), min_size=1, max_size=3), min_size=1, max_size=5),
+        coeffs=st.lists(
+            st.lists(st.integers(-2, 2), min_size=6, max_size=6), min_size=3, max_size=3),
+    )
+    @example(facets=[{1, 2}, {2, 3}, {1, 3}, {4, 5}],
+             coeffs=[[1, 2, 3, 1, 0, 0], [1, 1, 1, 0, 1, 0], [0] * 6])
+    def test_linear_sop_matches_facet_rank_criterion(self, facets, coeffs):
+        # random complexes on six vertices, often non-pure and not
+        # Cohen-Macaulay; form i has coefficient coeffs[i][v - 1] at x_v
+        complex_ = from_facets(facets)
+        theta = [
+            Polynomial({Monomial({v: 1}): row[v - 1] for v in complex_.vertices})
+            for row in coeffs[: complex_.dim + 1]
+        ]
+        assume(not any(th.is_zero() for th in theta))
+        expected = facet_rank_criterion(complex_, theta)
+        assert is_sop(complex_, SopCandidate.make(theta)).is_sop == expected
 
 
 class TestWlp:

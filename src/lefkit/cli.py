@@ -136,7 +136,14 @@ def cmd_hf(args):
             frame = ArtinianFrame(cx, caps)
             extra = frame.power_generators() + extra
         if degrees is None:
-            degrees = list(range(lf._vanishing_bound(cx, extra) + 1))
+            try:
+                top = lf._vanishing_bound(cx, extra)
+            except HypothesisError:
+                if not args.caps:
+                    raise
+                # a quotient of the capped frame vanishes past its socle degree
+                top = frame.socle_degree() + 1
+            degrees = list(range(top + 1))
         values = [lf.quotient_hilbert(cx, extra, k) for k in degrees]
         payload["forms"] = [str(f) for f in forms]
     else:

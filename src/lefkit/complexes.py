@@ -22,6 +22,7 @@ from .errors import (
     NotAFace,
     ParseError,
     PurityError,
+    RangeError,
 )
 
 
@@ -409,25 +410,67 @@ def balanced_coloring(cx: SimplicialComplex) -> Optional[Coloring]:
     return Coloring(dict(assignment), k)
 
 
-def _face_poset(face_set):
-    """Map each face to the faces strictly containing it (within face_set)."""
-    cofaces = {f: set() for f in face_set}
-    for f in face_set:
-        for g in face_set:
-            if len(g) > len(f) and f < g:
-                cofaces[f].add(g)
-    return cofaces
+class _FreeFaceIndex:
+    """The live faces of a complex under elementary collapses.
 
+    Faces are numbered in the order the search tries them: larger faces
+    first, then by sorted vertices.  Every collapse leaves a simplicial
+    complex, and there a face is free exactly when it has one
+    codimension-1 coface (a coface two sizes up brings two of them), so
+    the index keeps each live face's live codimension-1 cofaces, the set
+    of faces that have exactly one, and the number of live faces above
+    the target dimension.  Removing a free pair touches only the ridges
+    of the pair, and restoring it undoes exactly those entries.
+    """
 
-def _free_faces(face_set):
-    cofaces = _face_poset(face_set)
-    out = []
-    for f, cs in cofaces.items():
-        if len(cs) == 1:
-            out.append((f, next(iter(cs))))
-    # prefer high-dimensional free faces; deterministic tie-break
-    out.sort(key=lambda pair: (-len(pair[0]), sorted(pair[0])))
-    return out
+    def __init__(self, cx: SimplicialComplex, target_dim: int):
+        self.faces = sorted(_all_faces(cx)[1:], key=lambda s: (-len(s), sorted(s)))
+        ids = {f: i for i, f in enumerate(self.faces)}
+        self.ridges = [[ids[f - {v}] for v in f] if len(f) > 1 else [] for f in self.faces]
+        self.cofaces = [set() for _ in self.faces]
+        for i, rs in enumerate(self.ridges):
+            for r in rs:
+                self.cofaces[r].add(i)
+        self.free = {i for i, cs in enumerate(self.cofaces) if len(cs) == 1}
+        # ids below `cut` are the faces of dimension > target_dim
+        self.cut = sum(len(f) > target_dim + 1 for f in self.faces)
+        self.high = self.cut
+
+    def _unlink(self, i):
+        for r in self.ridges[i]:
+            cs = self.cofaces[r]
+            cs.remove(i)
+            if len(cs) == 1:
+                self.free.add(r)
+            elif not cs:
+                self.free.discard(r)
+        self.high -= i < self.cut
+
+    def _link(self, i):
+        for r in self.ridges[i]:
+            cs = self.cofaces[r]
+            cs.add(i)
+            if len(cs) == 1:
+                self.free.add(r)
+            elif len(cs) == 2:
+                self.free.discard(r)
+        self.high += i < self.cut
+
+    def collapse(self, f):
+        """Remove the free face f with its coface; return the pair."""
+        (g,) = self.cofaces[f]
+        self._unlink(g)
+        self._unlink(f)
+        return f, g
+
+    def restore(self, f, g):
+        self._link(f)
+        self._link(g)
+
+    def residual(self, removed) -> SimplicialComplex:
+        return SimplicialComplex(
+            f for i, f in enumerate(self.faces) if not self.cofaces[i] and i not in removed
+        )
 
 
 def collapse_search(cx: SimplicialComplex, target_dim: int, budget: int = 10**6):
@@ -435,42 +478,42 @@ def collapse_search(cx: SimplicialComplex, target_dim: int, budget: int = 10**6)
 
     Returns a certificate whose residual has dimension at most
     ``target_dim``, or None if the search exhausts its options or budget.
-    A None result is not a proof of non-collapsibility.
+    A None result is not a proof of non-collapsibility.  Free faces are
+    tried largest first, then by sorted vertices; ``budget`` bounds the
+    number of elementary collapses tried, and ``budget=0`` only accepts a
+    complex already at the target.  Each step costs O(dim) index updates
+    and a sort of the free faces (see ``_FreeFaceIndex``), and the search
+    runs on an explicit stack, so its depth is not bounded by recursion.
     """
     if target_dim < 0:
         raise DimensionError("target dimension must be >= 0")
-    start = set(_all_faces(cx)) - {frozenset()}
-    steps_budget = [budget]
-
-    def dim_of(face_set):
-        return max(len(f) for f in face_set) - 1
-
-    def search(face_set, trail):
-        if dim_of(face_set) <= target_dim:
-            return list(trail)
-        if steps_budget[0] <= 0:
+    if budget < 0:
+        raise RangeError(f"budget must be >= 0, got {budget}")
+    index = _FreeFaceIndex(cx, target_dim)
+    trail = []
+    if index.high:
+        if budget <= 0:
             return None
-        for free, coface in _free_faces(face_set):
-            steps_budget[0] -= 1
-            nxt = face_set - {free, coface}
-            trail.append((free, coface))
-            found = search(nxt, trail)
-            if found is not None:
-                return found
-            trail.pop()
-            if steps_budget[0] <= 0:
+        # stack[k] iterates the free faces of the node reached by trail[:k]
+        stack = [iter(sorted(index.free))]
+        while True:
+            f = next(stack[-1], None)
+            if f is None:
+                stack.pop()
+                if not trail:
+                    return None
+                index.restore(*trail.pop())
+                continue
+            budget -= 1
+            trail.append(index.collapse(f))
+            if not index.high:
+                break
+            if budget <= 0:
                 return None
-        return None
-
-    found = search(frozenset(start), [])
-    if found is None:
-        return None
-    remaining = set(start)
-    for free, coface in found:
-        remaining -= {free, coface}
-    maximal = [f for f in remaining if not any(f < g for g in remaining)]
-    residual = SimplicialComplex(maximal)
-    return CollapseCertificate(tuple(found), residual)
+            stack.append(iter(sorted(index.free)))
+    removed = {i for pair in trail for i in pair}
+    steps = tuple((index.faces[f], index.faces[g]) for f, g in trail)
+    return CollapseCertificate(steps, index.residual(removed))
 
 
 def replay_collapse(cx: SimplicialComplex, cert: CollapseCertificate) -> bool:

@@ -189,7 +189,9 @@ def _eliminate(rows, modulus=None):
     so the pivot rows form a triangular system in pivot order.
 
     With a prime ``modulus`` the rows hold residues mod p and every
-    combined row is reduced mod p, which gives the rank over GF(p).
+    combined row is reduced mod p, which gives the rank over GF(p).  Each
+    pivot row is first scaled to a leading 1; a unit multiple has the same
+    support, so the pivot choices do not change.
     """
     col_rows: dict[int, set] = {}
     for r, row in enumerate(rows):
@@ -215,6 +217,11 @@ def _eliminate(rows, modulus=None):
         piv = min(rs, key=lambda r: (len(rows[r]), r))
         pivrow = rows[piv]
         p = pivrow[col]
+        if modulus is not None and p != 1:
+            # a leading 1 makes every combination below a plain copy
+            inv = pow(p, -1, modulus)
+            pivrow = rows[piv] = {j: x * inv % modulus for j, x in pivrow.items()}
+            p = 1
         rest = [(j, x) for j, x in pivrow.items() if j != col]
         for r in rs:
             if r == piv:
@@ -240,7 +247,11 @@ def _eliminate(rows, modulus=None):
             if modulus is None:
                 rows[r] = _normalize_row(new)
                 continue
-            for j, y in list(new.items()):
+            # only the pivot row's columns changed; the rest are residues
+            for j, _ in rest:
+                y = new.get(j)
+                if y is None:
+                    continue
                 y %= modulus
                 if y:
                     new[j] = y

@@ -67,6 +67,18 @@ class TestHf:
         assert code == 2
         assert json.loads(err)["error"] == "ParseError"
 
+    def test_capped_quotient_of_non_cm_complex_scans_to_socle_degree(self, capsys, tmp_path):
+        # a triangle plus a disjoint edge is not Cohen-Macaulay, and the cap
+        # powers are not linear, so only the frame's socle degree bounds it
+        cx = tmp_path / "triangle_edge.json"
+        cx.write_text(json.dumps({"name": "triangle+edge",
+                                  "facets": [[1, 2], [2, 3], [1, 3], [4, 5]]}))
+        payload = run_json(
+            capsys, "hf", "--complex", str(cx), "--caps", "2", "--forms", "x1+2*x2+3*x3+x4",
+        )
+        assert payload["degrees"] == [0, 1, 2, 3]
+        assert payload["values"] == [1, 4, 0, 0]
+
     def test_forms_file_must_hold_strings(self, capsys, tmp_path):
         forms = tmp_path / "forms.json"
         forms.write_text(json.dumps(["x1+x2", 7]))
@@ -156,6 +168,13 @@ class TestDerivedComplexes:
     def test_collapse_dunce_fails(self, capsys):
         payload = run_json(capsys, "collapse", "--complex", fixture_path("dunce"))
         assert payload["found"] is False
+
+    def test_collapse_negative_budget_exit3(self, capsys):
+        code, out, err = run(
+            capsys, "collapse", "--complex", fixture_path("fan4"), "--budget", "-5"
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "RangeError"
 
 
 class TestSpread:

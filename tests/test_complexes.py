@@ -1,12 +1,16 @@
 """Complex construction, face machinery and topological predicates."""
 
 import random
-from itertools import combinations
+import time
+from itertools import combinations, product
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from lefkit.complexes import (
+    CollapseCertificate,
+    SimplicialComplex,
     balanced_coloring,
     boundary_matrix,
     collapse_search,
@@ -20,7 +24,7 @@ from lefkit.complexes import (
     pseudomanifold_status,
     replay_collapse,
 )
-from lefkit.errors import DimensionError, InvalidComplex, NotAFace, PurityError
+from lefkit.errors import DimensionError, InvalidComplex, NotAFace, PurityError, RangeError
 from lefkit import fixtures
 
 ALL_FIXTURES = fixtures.FIXTURE_NAMES
@@ -305,6 +309,117 @@ class TestCollapse:
         assert cert is not None
         assert cert.residual.dim == 0 and len(cert.residual.facets) == 1
         assert replay_collapse(ball, cert)
+
+    def test_negative_budget_is_refused(self):
+        simplex = from_facets([{1, 2, 3}])
+        with pytest.raises(RangeError):
+            collapse_search(simplex, 0, budget=-5)
+
+    def test_zero_budget_accepts_a_complex_at_the_target(self):
+        simplex = from_facets([{1, 2, 3}])
+        cert = collapse_search(simplex, 2, budget=0)
+        assert cert is not None and cert.steps == () and cert.residual == simplex
+
+    def test_long_path_collapses_without_recursion(self):
+        # a recursive search needed one frame per collapse and overflowed
+        path = from_facets([{i, i + 1} for i in range(1200)])
+        t0 = time.perf_counter()
+        cert = collapse_search(path, 0)
+        elapsed = time.perf_counter() - t0
+        assert cert is not None and len(cert.steps) == 1200
+        assert cert.residual == from_facets([{1200}])
+        assert replay_collapse(path, cert)
+        assert elapsed < 1.0
+
+    def test_cone_over_cross_polytope5_within_budget(self):
+        antipodes = [(2 * i + 1, 2 * i + 2) for i in range(5)]
+        cone = from_facets([set(c) | {11} for c in product(*antipodes)])
+        t0 = time.perf_counter()
+        cert = collapse_search(cone, 0)
+        elapsed = time.perf_counter() - t0
+        print(f"\ncollapse of the cone over the 5-cross-polytope: {elapsed:.3f}s / budget 1s")
+        assert cert is not None and len(cert.steps) == 242
+        assert cert.residual.dim == 0 and len(cert.residual.facets) == 1
+        assert replay_collapse(cone, cert)
+        assert elapsed < 1.0
+
+
+def reference_collapse_search(cx, target_dim, budget=10**6):
+    """Recursive search that rebuilds the face poset at every node.
+
+    The reference for ``collapse_search``, which must return the same
+    certificate, or None, for every target and budget.
+    """
+    def free_faces(face_set):
+        cofaces = {f: {g for g in face_set if f < g} for f in face_set}
+        out = [(f, next(iter(cs))) for f, cs in cofaces.items() if len(cs) == 1]
+        out.sort(key=lambda pair: (-len(pair[0]), sorted(pair[0])))
+        return out
+
+    start = set(cx.all_faces()) - {frozenset()}
+    steps_budget = [budget]
+
+    def search(face_set, trail):
+        if max(len(f) for f in face_set) - 1 <= target_dim:
+            return list(trail)
+        if steps_budget[0] <= 0:
+            return None
+        for free, coface in free_faces(face_set):
+            steps_budget[0] -= 1
+            trail.append((free, coface))
+            found = search(face_set - {free, coface}, trail)
+            if found is not None:
+                return found
+            trail.pop()
+            if steps_budget[0] <= 0:
+                return None
+        return None
+
+    found = search(frozenset(start), [])
+    if found is None:
+        return None
+    remaining = start - {f for pair in found for f in pair}
+    maximal = [f for f in remaining if not any(f < g for g in remaining)]
+    return CollapseCertificate(tuple(found), SimplicialComplex(maximal))
+
+
+@st.composite
+def small_complexes(draw):
+    """Non-pure complexes over at most 7 vertices: up to 5 facets of at
+    most 3 vertices, which keeps an exhaustive search small."""
+    n = draw(st.integers(1, 7))
+    facet = st.frozensets(st.integers(1, n), min_size=1, max_size=3)
+    return from_facets(draw(st.lists(facet, min_size=1, max_size=5)))
+
+
+class TestCollapseOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(small_complexes(), st.booleans())
+    @example(from_facets([{1, 2}, {2, 3}, {1, 3}, {3, 4}]), False)
+    @example(from_facets([{1, 2, 3}, {3, 4, 5}, {5, 6}, {1, 6}]), True)
+    def test_same_certificates_as_poset_search(self, base, cone):
+        # a cone is collapsible, so its search runs deep
+        complex_ = from_facets([f | {0} for f in base.facets]) if cone else base
+        for target in range(complex_.dim + 1):
+            for budget in (0, 1, 2, 5, 10**6):
+                got = collapse_search(complex_, target, budget)
+                assert got == reference_collapse_search(complex_, target, budget), (
+                    target,
+                    budget,
+                )
+                if got is not None:
+                    assert replay_collapse(complex_, got)
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_same_certificates_on_fixtures(self, cx, name):
+        complex_ = cx(name)
+        for target in range(complex_.dim + 1):
+            for budget in (1, 3, 10**6):
+                got = collapse_search(complex_, target, budget)
+                assert got == reference_collapse_search(complex_, target, budget), (
+                    target,
+                    budget,
+                )
 
 
 def test_every_cache_is_bounded():

@@ -227,6 +227,39 @@ def dense_rank_mod_p(data, p):
     return rk
 
 
+def reference_pivots_mod_p(rows, p):
+    """Pivots of the linear-scan search over GF(p) when each combination
+    scales the other row by the pivot entry instead of normalising the
+    pivot row to a leading 1."""
+    rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
+    live = set(range(len(rows)))
+    pivots = []
+    while True:
+        counts = {}
+        for r in live:
+            for j in rows[r]:
+                counts[j] = counts.get(j, 0) + 1
+        if not counts:
+            return pivots
+        col = min(counts, key=lambda j: (counts[j], j))
+        holders = [r for r in live if col in rows[r]]
+        piv = min(holders, key=lambda r: (len(rows[r]), r))
+        q = rows[piv][col]
+        for r in holders:
+            if r == piv:
+                continue
+            v = rows[r][col]
+            g = math.gcd(q, v)
+            combined = {}
+            for j in set(rows[r]) | set(rows[piv]):
+                y = (q // g * rows[r].get(j, 0) - v // g * rows[piv].get(j, 0)) % p
+                if y:
+                    combined[j] = y
+            rows[r] = combined
+        live.remove(piv)
+        pivots.append((piv, col))
+
+
 @st.composite
 def integer_row_lists(draw):
     """Sparse integer rows with empty rows and columns and repeated rows."""
@@ -276,6 +309,26 @@ class TestPivotOracle:
         data, cols = case
         m = ExactMatrix.from_dense(data) if data else ExactMatrix(0, cols)
         assert rank_mod_p(m, p) == dense_rank_mod_p(data, p)
+
+
+class TestModularPivots:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_row_lists(), st.sampled_from([2, 3, 5, 7, 10007]))
+    @example(([[2, 1], [1, 2]], 2), 3)
+    def test_same_pivots_as_unscaled_scan(self, case, p):
+        data, _ = case
+        rows = [{j: v % p for j, v in row.items() if v % p} for row in _row_dicts(data)]
+        pivots, _ = _eliminate(copy.deepcopy(rows), p)
+        assert pivots == reference_pivots_mod_p(rows, p)
+
+    @pytest.mark.parametrize("name", ["OCT", "C4", "FAN4"])
+    def test_same_pivots_on_fixture_maps(self, cx, name):
+        frame = ArtinianFrame(cx(name), 3)
+        for k in range(frame.socle_degree()):
+            rows = _integer_rows(multiplication_matrix(frame, frame.linear_form(), k))
+            rows = [{j: v % 101 for j, v in row.items() if v % 101} for row in rows]
+            pivots, _ = _eliminate(copy.deepcopy(rows), 101)
+            assert pivots == reference_pivots_mod_p(rows, 101), (name, k)
 
 
 class TestJson:

@@ -123,38 +123,23 @@ def cmd_info(args):
 
 def cmd_hf(args):
     cx = complexes.load_complex(args.complex)
-    if args.degrees:
-        degrees = [int(d) for d in args.degrees.split(",")]
-    else:
-        degrees = None
+    degrees = [int(d) for d in args.degrees.split(",")] if args.degrees else None
     payload = {"name": cx.name, "caps": args.caps}
+    extra = []
     if args.forms:
         forms = _parse_forms(args.forms)
         extra = list(forms)
-        if args.caps:
-            caps = _parse_caps(args.caps)
-            frame = ArtinianFrame(cx, caps)
-            extra = frame.power_generators() + extra
-        if degrees is None:
-            try:
-                top = lf._vanishing_bound(cx, extra)
-            except HypothesisError:
-                if not args.caps:
-                    raise
-                # a quotient of the capped frame vanishes past its socle degree
-                top = frame.socle_degree() + 1
-            degrees = list(range(top + 1))
-        values = [lf.quotient_hilbert(cx, extra, k) for k in degrees]
         payload["forms"] = [str(f) for f in forms]
-    else:
-        if not args.caps:
-            raise ParseError("hf needs --caps, --forms, or both")
+    elif not args.caps:
+        raise ParseError("hf needs --caps, --forms, or both")
+    if args.caps:
         frame = ArtinianFrame(cx, _parse_caps(args.caps))
-        if degrees is None:
-            degrees = list(range(frame.socle_degree() + 1))
-        values = [monomials.hilbert_function(frame, k) for k in degrees]
+        extra = frame.power_generators() + extra
+    if degrees is None:
+        top = lf._vanishing_bound(cx, extra) if args.forms else frame.socle_degree()
+        degrees = list(range(top + 1))
     payload["degrees"] = degrees
-    payload["values"] = values
+    payload["values"] = [lf.quotient_hilbert(cx, extra, k) for k in degrees]
     _emit(args, payload)
     return 0
 

@@ -9,6 +9,7 @@ this pins characteristic zero for every downstream Lefschetz statement.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +40,15 @@ class SimplicialComplex:
 
     def __init__(self, facets, labels=None, name="", meta=None):
         fs = sorted({frozenset(f) for f in facets}, key=sorted)
-        maximal = [f for f in fs if not any(f < g for g in fs)]
+        holders = {}
+        for f in fs:
+            for v in f:
+                holders.setdefault(v, []).append(f)
+        # a facet lies only in facets holding all its vertices: test the fewest
+        maximal = [
+            f for f in fs
+            if not any(f < g for g in min((holders[v] for v in f), key=len, default=fs))
+        ]
         self.facets = tuple(maximal)
         verts = set()
         for f in maximal:
@@ -237,19 +246,10 @@ def fh_profile(cx: SimplicialComplex) -> FHProfile:
     for i in range(d + 2):
         m = d + 1 - i
         for t in range(m + 1):
-            coeffs[t] += fvec[i] * _binom(m, t) * (-1) ** (m - t)
+            coeffs[t] += fvec[i] * math.comb(m, t) * (-1) ** (m - t)
     h = tuple(coeffs[d + 1 - i] for i in range(d + 2))
     h_degree = max((i for i, v in enumerate(h) if v != 0), default=0)
     return FHProfile(tuple(fvec), h, h_degree)
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def link(cx: SimplicialComplex, sigma) -> SimplicialComplex:
@@ -257,9 +257,7 @@ def link(cx: SimplicialComplex, sigma) -> SimplicialComplex:
     s = frozenset(sigma)
     if not cx.has_face(s):
         raise NotAFace(f"{sorted(s)} is not a face")
-    tops = {f - s for f in cx.facets if s <= f}
-    maximal = [t for t in tops if not any(t < u for u in tops)]
-    return SimplicialComplex(maximal)
+    return SimplicialComplex(f - s for f in cx.facets if s <= f)
 
 
 def boundary_matrix(cx: SimplicialComplex, k: int) -> linalg.ExactMatrix:
@@ -520,17 +518,20 @@ def replay_collapse(cx: SimplicialComplex, cert: CollapseCertificate) -> bool:
     """Machine-check a collapse certificate step by step.
 
     Raises ValueError on any invalid step; returns True when the replayed
-    residual matches the certificate.
+    residual matches the certificate.  Valid steps keep the faces closed
+    under subsets, where a face is free exactly when it has one
+    codimension-1 coface, so each step probes free + {v} for v adjacent to it.
     """
     face_set = set(_all_faces(cx)) - {frozenset()}
+    adj = _adjacency(cx.vertices, one_skeleton_edges(cx))
     for free, coface in cert.steps:
         if free not in face_set or coface not in face_set:
             raise ValueError(f"step touches a missing face: {sorted(free)}")
-        containing = [g for g in face_set if free < g]
+        near = min((adj[u] for u in free), key=len) - free
+        containing = [free | {v} for v in near if free | {v} in face_set]
         if containing != [coface]:
-            raise ValueError(f"{sorted(free)} is not free (cofaces: {len(containing)})")
+            raise ValueError(f"{sorted(free)} is not a free face of {sorted(coface)}")
         face_set -= {free, coface}
-    maximal = [f for f in face_set if not any(f < g for g in face_set)]
-    if SimplicialComplex(maximal) != cert.residual:
+    if SimplicialComplex(face_set) != cert.residual:
         raise ValueError("residual mismatch after replay")
     return True

@@ -5,9 +5,11 @@ All decisions reduce to exact ranks.  Quotients by extra forms are
 computed inside the face-monomial basis of the Stanley-Reisner quotient:
 squarefree generators annihilate exactly the non-face-supported
 monomials, so spans and inverse systems never leave face-supported
-coordinates.  Pure variable powers among the extra generators are folded
-into exponent caps instead of span rows, which keeps the matrices at the
-size of the capped algebra.
+coordinates.  Monomial generators fold into exponent caps and
+divisibility filters that pick the basis from
+``monomials.standard_monomials``, as a capped frame's caps do; only the
+other forms become span rows.  A pure power of every vertex bounds the
+vanishing degree by that frame's socle degree + 1.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .complexes import (
     fh_profile,
     is_cohen_macaulay,
     is_homology_sphere,
+    one_skeleton_edges,
 )
 from .errors import (
     ArityError,
@@ -42,11 +45,13 @@ from .monomials import (
     ArtinianFrame,
     Monomial,
     Polynomial,
+    _products,
     contract,
-    face_monomials,
+    face_monomials,  # unused here; benchmarks/selftest.py checks the tracer wraps this binding
     hilbert_function,
     multiplication_matrix,
     standard_basis,
+    standard_monomials,
     sum_of_variables,
 )
 
@@ -158,23 +163,12 @@ def _validate_extra(cx, extra):
             )
 
 
-def _survives(m, mono_filters):
-    return not any(f.divides(m) for f in mono_filters)
-
-
-def _graded_basis(cx, extra, k):
-    """Degree-k coordinates of the quotient by extra.
-
-    Generators above degree k do not reach degree k and are dropped.  Pure
-    powers fold into exponent caps and other monomials stay divisibility
-    filters.  Returns the caps, the filters, the surviving face monomials
-    (in order) and the remaining generators, which need span rows.
-    """
-    caps = {v: k + 1 for v in cx.vertices}
-    mono_filters = []
-    others = []
+def _fold(extra):
+    """Split nonzero forms into pure-power caps {v: least exponent}, other
+    monomials (divisibility filters) and the forms that need span rows."""
+    caps, filters, others = {}, [], []
     for g in extra:
-        if g.is_zero() or g.degree() > k:
+        if g.is_zero():
             continue
         if not g.is_monomial():
             others.append(g)
@@ -182,34 +176,36 @@ def _graded_basis(cx, extra, k):
         m = next(iter(g.terms))
         if len(m.exps) == 1:
             v, e = m.exps[0]
-            caps[v] = min(caps[v], e)
+            caps[v] = min(caps.get(v, e), e)
         else:
-            mono_filters.append(m)
-    cols = [m for m in face_monomials(cx, k, caps) if _survives(m, mono_filters)]
-    return caps, mono_filters, cols, others
+            filters.append(m)
+    return caps, filters, others
+
+
+def _graded_basis(cx, extra, k):
+    """Caps, filters, standard monomials and span forms of the quotient by
+    extra in degree k, folded from the generators of degree <= k."""
+    caps, filters, others = _fold(g for g in extra if g.degree() <= k)
+    return caps, filters, standard_monomials(cx, k, caps, filters), others
 
 
 @lru_cache(maxsize=1024)
 def _hilbert(cx, extra: tuple, k: int) -> int:
-    """Degree-k dimension of the quotient by extra: the surviving face
-    monomials minus the rank of the span of the other generators.
+    """Degree-k dimension of the quotient by extra: the standard monomials
+    minus the rank of the span of the other generators.
 
     Only the value is memoised: vanishing scans, inverse-system pieces and
     membership tests ask for the same degrees over and over, and an int
     costs next to nothing to keep, where span rows would not.
     """
-    caps, mono_filters, cols, others = _graded_basis(cx, extra, k)
-    col = {m: j for j, m in enumerate(cols)}
+    caps, filters, cols, others = _graded_basis(cx, extra, k)
+    index = {m: j for j, m in enumerate(cols)}
     entries = {}
     i = 0
     for g in others:
-        for m in face_monomials(cx, k - g.degree(), caps):
-            if not _survives(m, mono_filters):
-                continue
-            for mg, cg in g.terms.items():
-                j = col.get(m.times(mg))
-                if j is not None:
-                    entries[i, j] = entries.get((i, j), 0) + cg
+        for products in _products(standard_monomials(cx, k - g.degree(), caps, filters), g, index):
+            for j, c in products:
+                entries[i, j] = c
             i += 1
     span = linalg.ExactMatrix(i, len(cols), entries)
     return len(cols) - (linalg.rank(span) if span.entries else 0)
@@ -230,15 +226,20 @@ def _vanishing_bound(cx, extra):
     restriction of the forms has full rank (Kind-Kleinschmidt), so a face
     monomial with an exponent >= 2 is, modulo the forms, a combination of
     monomials on strictly larger faces, and the squarefree face monomials,
-    of degree at most dim + 1, span the quotient.  No other bound is
+    of degree at most dim + 1, span the quotient.  When extra holds a pure
+    power of every vertex, the quotient is a quotient of that capped
+    frame, which vanishes past its socle degree.  No other bound is
     proven, so anything else is refused.
     """
     if is_cohen_macaulay(cx):
         return 1 + fh_profile(cx).h_degree + sum(max(g.degree() - 1, 0) for g in extra)
     if all(g.degree() <= 1 for g in extra):
         return cx.dim + 2
+    caps = _fold(extra)[0]
+    if all(v in caps for v in cx.vertices):
+        return 1 + max(sum(caps[v] - 1 for v in f) for f in cx.facets)
     raise HypothesisError(
-        "no proven vanishing bound for forms of degree > 1 on a non-Cohen-Macaulay complex"
+        "no proven vanishing bound for these forms on a non-Cohen-Macaulay complex"
     )
 
 
@@ -398,8 +399,7 @@ def _check_coloring(cx, rho: Coloring):
         raise ColoringError("coloring must assign every vertex")
     if not all(1 <= c <= rho.k for c in rho.assignment.values()):
         raise ColoringError("colors must lie in 1..k")
-    for e in (f for f in cx.all_faces() if len(f) == 2):
-        a, b = sorted(e)
+    for a, b in map(sorted, one_skeleton_edges(cx)):
         if rho.assignment[a] == rho.assignment[b]:
             raise ColoringError(f"adjacent vertices {a},{b} share color {rho.assignment[a]}")
 
@@ -409,8 +409,7 @@ def colored_sop(cx: SimplicialComplex, rho: Coloring) -> SopCandidate:
     _check_coloring(cx, rho)
     theta = []
     for c in range(1, rho.k + 1):
-        vs = sorted(v for v, col in rho.assignment.items() if col == c)
-        theta.append(sum_of_variables(vs))
+        theta.append(sum_of_variables(sorted(rho.color_class(c))))
     return SopCandidate(tuple(theta), fh_profile(cx).h_degree)
 
 

@@ -3,8 +3,11 @@ monomial algebras.
 
 Coefficients are exact rationals end to end.  Monomials of equal degree
 are ordered lexicographically ascending on their exponent vectors (over
-ascending variable ids); every basis and matrix in the library is emitted
-in this graded-lex order so outputs are stable.
+ascending variable ids, ``Monomial.order_key``); every basis and matrix in
+the library is emitted in this graded-lex order so outputs are stable.
+Every basis, of a capped frame or of a quotient by extra forms, comes from
+the cached ``standard_monomials``: a frame is the quotient by its power
+generators.
 """
 
 from __future__ import annotations
@@ -79,9 +82,10 @@ class Monomial:
             d[v] -= e
         return Monomial(d)
 
-    def lex_key(self, var_order) -> tuple:
-        d = dict(self.exps)
-        return tuple(d.get(v, 0) for v in var_order)
+    def order_key(self) -> tuple:
+        """Graded-lex key: degree, then the exponent vector over ascending
+        variable ids; negated ids make the sparse pairs compare that way."""
+        return (self.degree, tuple((-v, e) for v, e in self.exps))
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -99,10 +103,6 @@ class Monomial:
 
 
 _ONE = Monomial(())
-
-
-def _graded_key(mono: Monomial, var_order):
-    return (mono.degree, mono.lex_key(var_order))
 
 
 class Polynomial:
@@ -207,10 +207,7 @@ class Polynomial:
     def sorted_terms(self):
         """Terms in graded-lex order: degree descending, then lex descending
         on exponent vectors, so sums of variables read x1 + x2 + ..."""
-        var_order = self.variables()
-        return sorted(
-            self.terms.items(), key=lambda mc: _graded_key(mc[0], var_order), reverse=True
-        )
+        return sorted(self.terms.items(), key=lambda mc: mc[0].order_key(), reverse=True)
 
     def __str__(self):
         if not self.terms:
@@ -416,15 +413,13 @@ class ArtinianFrame:
         self.caps = tuple(sorted(caps.items()))
         self._hash = hash((complex, self.caps))
 
-    def cap(self, v: int) -> int:
-        return dict(self.caps)[v]
-
     @property
     def cap_map(self) -> dict:
         return dict(self.caps)
 
     def socle_degree(self) -> int:
-        return max(sum(self.cap(v) - 1 for v in f) for f in self.complex.facets)
+        caps = self.cap_map
+        return max(sum(caps[v] - 1 for v in f) for f in self.complex.facets)
 
     def linear_form(self) -> Polynomial:
         return sum_of_variables(self.complex.vertices)
@@ -465,8 +460,9 @@ def _compositions(total, bounds):
 def face_monomials(cx: SimplicialComplex, k: int, caps: Optional[dict] = None):
     """Monomials of degree k supported on faces, exponents below caps.
 
-    With caps None the exponent bound is k itself (no cap).  Output is in
-    graded-lex ascending order over the complex's vertex order.
+    Vertices missing from caps, or all with caps None, are bounded by k
+    itself (no cap).  Output is in
+    graded-lex ascending order (``Monomial.order_key``).
     """
     if k == 0:
         return [_ONE]
@@ -476,29 +472,51 @@ def face_monomials(cx: SimplicialComplex, k: int, caps: Optional[dict] = None):
         if size == 0 or size > k:
             continue
         vs = sorted(face)
-        bounds = [min(k, (caps[v] - 1) if caps else k) for v in vs]
+        bounds = [min(k, caps.get(v, k + 1) - 1 if caps else k) for v in vs]
         if sum(bounds) < k:
             continue
         for combo in _compositions(k, bounds):
             out.append(Monomial(tuple(zip(vs, combo))))
-    out.sort(key=lambda m: m.lex_key(cx.vertices))
+    out.sort(key=Monomial.order_key)
     return out
 
 
+def standard_monomials(cx: SimplicialComplex, k: int, caps=None, filters=()) -> tuple:
+    """Degree-k standard monomials, in graded-lex order, of the
+    Stanley-Reisner ring modulo the powers x_v^caps[v] and the monomials in
+    filters: the one basis of every frame and every quotient.  Caps and
+    filters that cannot bite in degree k are left out of the cache key."""
+    if k < 0:
+        return ()
+    caps = tuple(sorted((v, a) for v, a in (caps or {}).items() if a <= k))
+    filters = tuple(sorted({m for m in filters if m.degree <= k}, key=Monomial.order_key))
+    return _standard_monomials(cx, k, caps, filters)
+
+
 @lru_cache(maxsize=2048)
-def _standard_basis_cached(frame: ArtinianFrame, k: int) -> tuple:
-    return tuple(face_monomials(frame.complex, k, frame.cap_map))
+def _standard_monomials(cx, k, caps: tuple, filters: tuple) -> tuple:
+    monos = face_monomials(cx, k, dict(caps))
+    return tuple(m for m in monos if not any(f.divides(m) for f in filters))
+
+
+def _products(sources, f: Polynomial, index: dict):
+    """Per source monomial m, the (index[m*t], coefficient) pairs over the
+    terms t of f; distinct terms give distinct products, and products
+    missing from index are zero in the quotient."""
+    terms = tuple(f.terms.items())
+    for m in sources:
+        yield [(i, c) for t, c in terms if (i := index.get(m.times(t))) is not None]
 
 
 def standard_basis(frame: ArtinianFrame, k: int):
     """Ordered monomial basis of the degree-k piece of the frame algebra."""
     if k < 0:
         raise RangeError("degree must be non-negative")
-    return list(_standard_basis_cached(frame, k))
+    return list(standard_monomials(frame.complex, k, frame.cap_map))
 
 
 def hilbert_function(frame: ArtinianFrame, k: int) -> int:
-    return len(_standard_basis_cached(frame, k)) if k >= 0 else 0
+    return len(standard_monomials(frame.complex, k, frame.cap_map))
 
 
 def is_standard(frame: ArtinianFrame, m: Monomial) -> bool:
@@ -528,17 +546,13 @@ def multiplication_matrix(frame: ArtinianFrame, f: Polynomial, k: int) -> linalg
     foreign = set(f.variables()) - set(frame.complex.vertices)
     if foreign:
         raise PreconditionError(f"form mentions unknown variables: {sorted(foreign)}")
-    cols = _standard_basis_cached(frame, k)
-    rows = _standard_basis_cached(frame, k + d)
-    row_index = {m: i for i, m in enumerate(rows)}
+    cols = standard_monomials(frame.complex, k, frame.cap_map)
+    rows = standard_monomials(frame.complex, k + d, frame.cap_map)
+    index = {m: i for i, m in enumerate(rows)}
     entries = {}
-    for j, m in enumerate(cols):
-        for mf, cf in f.terms.items():
-            prod = m.times(mf)
-            i = row_index.get(prod)
-            if i is not None:
-                key = (i, j)
-                entries[key] = entries.get(key, Fraction(0)) + cf
+    for j, products in enumerate(_products(cols, f, index)):
+        for i, c in products:
+            entries[i, j] = c
     return linalg.ExactMatrix(len(rows), len(cols), entries)
 
 

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lefkit.complexes import (
     CollapseCertificate,
@@ -429,3 +429,120 @@ def test_every_cache_is_bounded():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info"):
                 assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"
+
+
+def reference_maximal(facets):
+    """The all-pairs maximality filter the constructor used to run."""
+    fs = sorted({frozenset(f) for f in facets}, key=sorted)
+    return tuple(f for f in fs if not any(f < g for g in fs))
+
+
+@st.composite
+def facet_lists(draw):
+    """Facet lists over at most 8 vertices, with subsets of drawn facets and
+    repeated facets mixed in, in any order."""
+    base = draw(st.lists(st.frozensets(st.integers(0, 7), max_size=5), min_size=1, max_size=8))
+    nested = [draw(st.frozensets(st.sampled_from(sorted(f)))) for f in base if f]
+    repeats = draw(st.lists(st.sampled_from(base), max_size=3))
+    return draw(st.permutations(base + nested + repeats))
+
+
+class TestMaximalFacets:
+    @settings(max_examples=300, deadline=None)
+    @given(facet_lists())
+    @example([set(), {1, 2}, {1}, {1, 2}])
+    @example([set()])
+    def test_matches_all_pairs_filter(self, facets):
+        cx = SimplicialComplex(facets)
+        expected = reference_maximal(facets)
+        assert cx.facets == expected
+        assert cx == SimplicialComplex(expected)
+        assert hash(cx) == hash((cx.vertices, expected))
+
+    def test_long_path_builds_quickly(self):
+        t0 = time.perf_counter()
+        path = from_facets([{i, i + 1} for i in range(10_000)])
+        elapsed = time.perf_counter() - t0
+        assert len(path.facets) == 10_000
+        assert elapsed < 1.0
+
+
+def reference_replay(cx, cert):
+    """The replay that rescans every remaining face at each step."""
+    face_set = {f for f in cx.all_faces() if f}
+    for free, coface in cert.steps:
+        if free not in face_set or coface not in face_set:
+            raise ValueError("missing face")
+        if [g for g in face_set if free < g] != [coface]:
+            raise ValueError("not free")
+        face_set -= {free, coface}
+    if SimplicialComplex(face_set) != cert.residual:
+        raise ValueError("residual mismatch")
+    return True
+
+
+def replay_verdict(replay, cx, cert):
+    try:
+        return replay(cx, cert)
+    except ValueError:
+        return False
+
+
+class TestReplay:
+    path = from_facets([{1, 2}, {2, 3}])
+    triangle = from_facets([{1, 2, 3}])
+
+    @pytest.mark.parametrize("complex_, steps, residual", [
+        # a face the complex does not have
+        (path, (({4}, {3, 4}),), None),
+        # a face with two cofaces
+        (triangle, (({1}, {1, 2}),), None),
+        # a free face paired with a face that does not contain it
+        (path, (({1}, {2, 3}),), None),
+        # a face paired with a coface two sizes up
+        (triangle, (({1}, {1, 2, 3}),), None),
+        # valid steps, wrong residual
+        (path, (({1}, {1, 2}),), from_facets([{2}])),
+    ])
+    def test_each_corruption_is_rejected(self, complex_, steps, residual):
+        steps = tuple((frozenset(a), frozenset(b)) for a, b in steps)
+        if residual is None:
+            residual = from_facets([{2, 3}])
+        cert = CollapseCertificate(steps, residual)
+        with pytest.raises(ValueError):
+            replay_collapse(complex_, cert)
+        with pytest.raises(ValueError):
+            reference_replay(complex_, cert)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_complexes(), st.booleans(), st.data())
+    def test_same_verdicts_as_rescanning_replay(self, base, cone, data):
+        complex_ = from_facets([f | {0} for f in base.facets]) if cone else base
+        cert = collapse_search(complex_, 0, budget=1000)
+        assume(cert is not None and cert.steps)
+        steps = list(cert.steps)
+        faces_ = [f for f in complex_.all_faces() if f]
+        i = data.draw(st.integers(0, len(steps) - 1))
+        variants = [
+            cert,
+            CollapseCertificate(tuple(steps[::-1]), cert.residual),
+            CollapseCertificate(tuple(steps[:i] + steps[i + 1:]), cert.residual),
+            CollapseCertificate(
+                tuple(steps[:i] + [(steps[i][0], data.draw(st.sampled_from(faces_)))]
+                      + steps[i + 1:]),
+                cert.residual),
+            CollapseCertificate(tuple(steps[:i]), cert.residual),
+        ]
+        for variant in variants:
+            assert replay_verdict(replay_collapse, complex_, variant) == replay_verdict(
+                reference_replay, complex_, variant)
+        assert replay_verdict(replay_collapse, complex_, cert)
+
+    def test_long_path_replays_quickly(self):
+        path = from_facets([{i, i + 1} for i in range(10_000)])
+        cert = collapse_search(path, 0)
+        t0 = time.perf_counter()
+        assert replay_collapse(path, cert)
+        elapsed = time.perf_counter() - t0
+        assert len(cert.steps) == 10_000
+        assert elapsed < 1.0

@@ -659,3 +659,61 @@ class TestHausel:
         for k in range(a - 1):  # 0..a-2
             mat = multiplication_matrix(frame, L, k)
             assert linalg.rank(mat) == hilbert_function(frame, k)
+
+
+class TestFrameIsAQuotient:
+    """A capped frame is the quotient by the pure powers of its caps."""
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    @pytest.mark.parametrize("caps", [2, 3, 4])
+    def test_fixture_frames(self, cx, name, caps):
+        frame = ArtinianFrame(cx(name), caps)
+        powers = frame.power_generators()
+        for k in range(frame.socle_degree() + 2):
+            assert hilbert_function(frame, k) == quotient_hilbert(frame.complex, powers, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        facets=st.lists(
+            st.frozensets(st.integers(1, 6), min_size=1, max_size=3), min_size=1, max_size=5),
+        caps=st.lists(st.integers(2, 4), min_size=6, max_size=6),
+    )
+    def test_random_frames(self, facets, caps):
+        complex_ = from_facets(facets)
+        frame = ArtinianFrame(complex_, {v: caps[v - 1] for v in complex_.vertices})
+        powers = frame.power_generators()
+        for k in range(frame.socle_degree() + 2):
+            assert hilbert_function(frame, k) == quotient_hilbert(complex_, powers, k)
+
+
+class TestCappedNonCohenMacaulayQuotient:
+    """Pure powers of every vertex bound the vanishing degree by the
+    frame's socle degree + 1, also on a complex that is not Cohen-Macaulay."""
+
+    def capped_triangle_and_edge(self):
+        complex_ = from_facets([{1, 2}, {2, 3}, {1, 3}, {4, 5}])
+        extra = ArtinianFrame(complex_, 2).power_generators() + [P("x1^2 + x5^2")]
+        return complex_, extra
+
+    def test_values_and_inverse_system(self):
+        complex_, extra = self.capped_triangle_and_edge()
+        values = [quotient_hilbert(complex_, extra, k) for k in range(5)]
+        assert values == [1, 5, 4, 0, 0]
+        for k in range(5):
+            assert inverse_system_piece(complex_, extra, k).dimension == values[k]
+
+    def test_membership_matches_pairing_oracle(self):
+        complex_, extra = self.capped_triangle_and_edge()
+        forms = [P("x1"), P("x1^2"), P("x1*x2"), P("x1*x2 + x4*x5"), P("x1*x4"),
+                 P("x1*x2*x3"), P("x4*x5 - x2^2")]
+        for g in forms:
+            piece = inverse_system_piece(complex_, extra, g.degree())
+            pairs_to_zero = all(
+                contract(g, F).coefficient(Monomial({})) == 0 for F in piece.basis
+            )
+            assert pairs_to_zero == ideal_membership(complex_, extra, g), g
+
+    def test_a_missing_power_is_still_refused(self):
+        complex_, extra = self.capped_triangle_and_edge()
+        with pytest.raises(HypothesisError):
+            inverse_system_piece(complex_, extra[1:], 1)

@@ -24,6 +24,7 @@ from lefkit.monomials import (
     contract,
     differentiate,
     divided_power_rescale,
+    face_monomials,
     facet_ideal,
     hilbert_function,
     log_matrix,
@@ -32,6 +33,7 @@ from lefkit.monomials import (
     parse_polynomial,
     stanley_reisner_generators,
     standard_basis,
+    standard_monomials,
     sum_of_variables,
 )
 from lefkit.subdivision import hesd, incidence_complex
@@ -397,3 +399,58 @@ class TestHesdLogCorrespondence:
         assert cmp_.equal
         m = cmp_.multiplication
         assert (m.rows, m.cols) == (len(g.facets), len(g.vertices))
+
+
+def reference_graded_key(m, var_order):
+    """Degree, then the dense exponent vector over var_order: the order
+    keys that took a variable list."""
+    exps = dict(m.exps)
+    return (m.degree, tuple(exps.get(v, 0) for v in var_order))
+
+
+monomials_on_six = st.dictionaries(st.integers(1, 6), st.integers(1, 4), max_size=6).map(Monomial)
+
+
+class TestMonomialOrder:
+    @settings(max_examples=500, deadline=None)
+    @given(monomials_on_six, monomials_on_six)
+    def test_order_key_matches_dense_exponent_vectors(self, a, b):
+        ref_a, ref_b = (reference_graded_key(m, range(1, 7)) for m in (a, b))
+        assert (a.order_key() < b.order_key()) == (ref_a < ref_b)
+        assert (a.order_key() == b.order_key()) == (a == b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(monomials_on_six, max_size=8), st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+    def test_sorted_terms_follow_the_reference_order(self, monos, coeffs):
+        poly = Polynomial(dict(zip(monos, coeffs)))
+        order = poly.variables()
+        expected = sorted(poly.terms, key=lambda m: reference_graded_key(m, order), reverse=True)
+        assert [m for m, _ in poly.sorted_terms()] == expected
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_face_monomials_follow_the_reference_order(self, cx, name):
+        complex_ = cx(name)
+        for k in range(4):
+            monos = face_monomials(complex_, k, {v: 3 for v in complex_.vertices})
+            assert monos == sorted(monos, key=lambda m: reference_graded_key(m, complex_.vertices))
+
+
+class TestStandardMonomials:
+    def test_caps_that_cannot_bite_share_the_uncapped_entry(self, cx):
+        oct_ = cx("OCT")
+        assert standard_monomials(oct_, 2, {1: 5, 2: 3}) is standard_monomials(oct_, 2)
+        assert standard_monomials(oct_, 2, {1: 2}) is not standard_monomials(oct_, 2)
+        assert standard_monomials(oct_, -1) == ()
+
+    def test_filters_drop_multiples(self, cx):
+        oct_ = cx("OCT")
+        x1x3 = Monomial({1: 1, 3: 1})
+        kept = standard_monomials(oct_, 3, {}, [x1x3])
+        assert kept == tuple(m for m in standard_monomials(oct_, 3) if not x1x3.divides(m))
+        assert len(kept) < len(standard_monomials(oct_, 3))
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_frame_bases_are_the_capped_face_monomials(self, cx, name):
+        frame = ArtinianFrame(cx(name), 3)
+        for k in range(frame.socle_degree() + 2):
+            assert standard_basis(frame, k) == face_monomials(frame.complex, k, frame.cap_map)

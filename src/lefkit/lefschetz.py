@@ -350,26 +350,43 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     return WlpReport(all(p.full_rank for p in per), socle, tuple(per))
 
 
-def slp_check(frame: ArtinianFrame) -> SlpReport:
-    """Full-rank report for all powers of the linear form.
-
-    As in ``wlp_check``, once L^j A_i = A_{i+j} the maps from later
-    degrees are onto too (A_{i+1+j} = A_1 L^j A_i = L^j A_{i+1}), so
-    their ranks are not computed.
-    """
+def _power_maps(frame: ArtinianFrame):
+    """(i, j, matrix of ×L^j from degree i) for every i + j up to the
+    socle degree, i ascending, then j.  Each ×L map M_k is built once, and
+    ×L^j from degree i is M_{i+j-1} times ×L^{j-1} from degree i: the
+    matrix ``multiplication_matrix`` gives for the expanded L^j."""
     L = frame.linear_form()
     socle = frame.socle_degree()
+    steps = [multiplication_matrix(frame, L, k) for k in range(socle)]
+    for i in range(socle):
+        power = steps[i]
+        yield i, 1, power
+        for j in range(2, socle - i + 1):
+            power = steps[i + j - 1] @ power
+            yield i, j, power
+
+
+def slp_check(frame: ArtinianFrame) -> SlpReport:
+    """Full-rank report for all powers of the linear form: the rank of
+    ×L^j from degree i to i + j for every pair, in order of j, then i.
+
+    The ×L^j matrices are composed from the ×L maps (``_power_maps``).
+    As in ``wlp_check``, once L^j A_i = A_{i+j} the maps from later
+    degrees are onto too (A_{i+1+j} = A_1 L^j A_i = L^j A_{i+1}), so
+    their ranks are not computed; their products still are, since the
+    next power is composed from them.
+    """
+    socle = frame.socle_degree()
+    dims = [hilbert_function(frame, k) for k in range(socle + 1)]
+    onto = set()  # powers j onto from some lower degree
     per = []
-    power = Polynomial.constant(1)
-    for j in range(1, socle + 1):
-        power = power * L
-        onto = False
-        for i in range(0, socle - j + 1):
-            a = hilbert_function(frame, i)
-            b = hilbert_function(frame, i + j)
-            r = b if onto else linalg.rank(multiplication_matrix(frame, power, i))
-            onto = r == b
-            per.append((j, i, a, b, r, r == min(a, b)))
+    for i, j, power in _power_maps(frame):
+        a, b = dims[i], dims[i + j]
+        r = b if j in onto else linalg.rank(power)
+        if r == b:
+            onto.add(j)
+        per.append((j, i, a, b, r, r == min(a, b)))
+    per.sort()
     return SlpReport(all(p[5] for p in per), socle, tuple(per))
 
 

@@ -115,6 +115,22 @@ class ExactMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
+    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Exact sparse product; integral entries multiply as ints."""
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        right = [dict() for _ in range(other.rows)]
+        for (k, j), v in other.entries.items():
+            right[k][j] = v.numerator if v.denominator == 1 else v
+        out = {}
+        for (i, k), a in self.entries.items():
+            a = a.numerator if a.denominator == 1 else a
+            for j, b in right[k].items():
+                out[i, j] = out.get((i, j), 0) + a * b
+        return ExactMatrix(self.rows, other.cols, out)
+
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)

@@ -64,10 +64,16 @@ class Monomial:
         return frozenset(v for v, _ in self.exps)
 
     def times(self, other: "Monomial") -> "Monomial":
+        # a product of valid monomials is valid: sort the summed exponents
+        # and skip the constructor's checks
         d = dict(self.exps)
         for v, e in other.exps:
             d[v] = d.get(v, 0) + e
-        return Monomial(d)
+        m = object.__new__(Monomial)
+        m.exps = items = tuple(sorted(d.items()))
+        m.degree = self.degree + other.degree
+        m._hash = hash(items)
+        return m
 
     def divides(self, other: "Monomial") -> bool:
         o = dict(other.exps)
@@ -183,18 +189,6 @@ class Polynomial:
         return Polynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms

@@ -374,3 +374,19 @@ def test_slp_reported_not_asserted(cx):
         rep = slp_check(ArtinianFrame(cx(name), caps))
         print(f"\nSLP report {name} caps {caps}: holds={rep.holds} "
               f"pairs={len(rep.per_pair)}")
+
+
+def test_slp_ball10_caps3(cx):
+    t0 = time.perf_counter()
+    frame = ArtinianFrame(cx("BALL10"), 3)
+    rep = slp_check(frame)
+    elapsed = time.perf_counter() - t0
+    wlp = wlp_check(frame)
+    ok = [p[4] for p in rep.per_pair if p[0] == 1] == [p.rank for p in wlp.per_degree]
+    # the failing (j, i, rank) triples, as the expanded-L^j path reported them
+    ok &= [(j, i, r) for j, i, _, _, r, full in rep.per_pair if not full] == [
+        (1, 5, 298), (2, 5, 238), (3, 4, 204), (4, 4, 129), (5, 3, 101),
+        (6, 3, 46), (7, 2, 33), (8, 2, 9), (9, 1, 6),
+    ]
+    ok &= len(rep.per_pair) == 55 and not rep.holds
+    report("SLP (BALL10 caps 3)", elapsed, 5, ok)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lefkit import linalg
+from lefkit import lefschetz, linalg
 from lefkit.complexes import Coloring, balanced_coloring, from_facets
 from lefkit.errors import (
     ArityError,
@@ -23,6 +23,7 @@ from lefkit.errors import (
 from lefkit.lefschetz import (
     SlpReport,
     SopCandidate,
+    _power_maps,
     colored_dual_generator,
     colored_sop,
     divergence_bound_check,
@@ -437,6 +438,75 @@ class TestSlp:
 
     def test_oct_caps2_fails(self, cx):
         assert not slp_check(ArtinianFrame(cx("OCT"), 2)).holds
+
+
+def expanded_power_maps(frame):
+    """``_power_maps`` built the old way: L^j expanded as a polynomial and
+    its matrix built from the monomial products."""
+    L = frame.linear_form()
+    socle = frame.socle_degree()
+    powers = [Polynomial.constant(1)]
+    for _ in range(socle):
+        powers.append(powers[-1] * L)
+    return [(i, j, multiplication_matrix(frame, powers[j], i))
+            for i in range(socle) for j in range(1, socle - i + 1)]
+
+
+# BALL10 and CROSS4 at caps 3 take tens of seconds on the expanded path
+SLOW_AT_CAPS_3 = ("BALL10", "CROSS4")
+
+
+def fixture_frames(cx, names=fixtures.FIXTURE_NAMES):
+    for name in names:
+        for caps in (2, 3):
+            if not (caps == 3 and name in SLOW_AT_CAPS_3):
+                yield ArtinianFrame(cx(name), caps)
+
+
+class TestComposedPowers:
+    """×L^j composed from ×L maps against the expanded L^j."""
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_fixture_maps_equal_expanded_powers(self, cx, name):
+        for frame in fixture_frames(cx, [name]):
+            assert list(_power_maps(frame)) == expanded_power_maps(frame), frame
+
+    def test_random_graph_maps_equal_expanded_powers(self):
+        for frame in random_graph_frames(577, (2, 3, 4)):
+            assert list(_power_maps(frame)) == expanded_power_maps(frame), frame
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_reports_match_reference(self, cx, name):
+        for frame in fixture_frames(cx, [name]):
+            assert slp_check(frame) == slp_reference(frame), frame
+
+    def test_reports_match_reference_on_random_graphs(self):
+        for frame in random_graph_frames(4242, (2, 3, 4)):
+            assert slp_check(frame) == slp_reference(frame), frame
+
+    def test_only_linear_maps_are_built(self, cx, monkeypatch):
+        calls = []
+        real = lefschetz.multiplication_matrix
+
+        def recording(frame, f, k):
+            calls.append((f.degree(), k))
+            return real(frame, f, k)
+
+        monkeypatch.setattr(lefschetz, "multiplication_matrix", recording)
+        for frame in fixture_frames(cx):
+            calls.clear()
+            slp_check(frame)
+            assert all(d == 1 for d, _ in calls)
+            assert len(calls) <= frame.socle_degree()
+
+    def test_first_power_matches_wlp(self, cx):
+        frames = [*fixture_frames(cx), ArtinianFrame(cx("BALL10"), 3),
+                  *random_graph_frames(99, (2, 3, 4))]
+        for frame in frames:
+            slp = slp_check(frame)
+            first = [(i, a, b, r) for j, i, a, b, r, _ in slp.per_pair if j == 1]
+            wlp = wlp_check(frame)
+            assert first == [(p.k, p.dim_from, p.dim_to, p.rank) for p in wlp.per_degree], frame
 
 
 class TestKernelTranspose:

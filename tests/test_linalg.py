@@ -331,6 +331,53 @@ class TestModularPivots:
             assert pivots == reference_pivots_mod_p(rows, 101), (name, k)
 
 
+def _sparse(rows, cols, data):
+    return ExactMatrix(rows, cols, {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)})
+
+
+@st.composite
+def product_pairs(draw):
+    """Dense rational factors of an m×n by n×p product; any side may be
+    0, and zero entries are common, so zero products occur."""
+    m, n, p = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-3, 3).map(Fraction),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    )
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entry, min_size=p, max_size=p), min_size=n, max_size=n))
+    return (m, n, a), (n, p, b)
+
+
+def dense_product(a, b, m, n, p):
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(p)]
+            for i in range(m)]
+
+
+class TestProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(product_pairs())
+    @example(((0, 3, []), (3, 2, [[1, 2], [3, 4], [5, 6]])))
+    @example(((2, 0, [[], []]), (0, 3, [])))
+    @example(((2, 2, [[0, 0], [0, 0]]), (2, 2, [[1, 0], [0, 1]])))
+    @example(((1, 2, [[1, -1]]), (2, 1, [[1], [1]])))  # cancels to zero
+    def test_matches_dense_product(self, case):
+        (m, n, a), (_, p, b) = case
+        got = _sparse(m, n, a) @ _sparse(n, p, b)
+        assert got == _sparse(m, p, dense_product(a, b, m, n, p))
+        assert (got.rows, got.cols) == (m, p)
+        assert all(isinstance(v, Fraction) and v for v in got.entries.values())
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            ExactMatrix(2, 3) @ ExactMatrix(2, 3)
+
+    def test_only_matrices(self):
+        with pytest.raises(TypeError):
+            ExactMatrix(1, 1) @ 2
+
+
 class TestJson:
     def test_triplet_roundtrip(self):
         m = ExactMatrix.from_dense([[Fraction(1, 2), 0], [0, -3]])

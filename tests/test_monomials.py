@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lefkit import linalg
@@ -75,6 +75,26 @@ class TestParsing:
     def test_canonical_order(self):
         assert str(P("x3^2 + x1*x2")) == "x1*x2 + x3^2"
         assert str(P("x2 + x1")) == "x1 + x2"
+
+
+exponent_maps = st.dictionaries(st.integers(1, 6), st.integers(0, 4), max_size=5)
+
+
+class TestMonomialProduct:
+    """``times`` builds the product without the constructor's checks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exponent_maps, exponent_maps)
+    @example({}, {})
+    @example({2: 1}, {})
+    @example({3: 2, 1: 1}, {1: 3, 5: 1})
+    def test_times_equals_constructed_product(self, a, b):
+        got = Monomial(a).times(Monomial(b))
+        expected = Monomial({v: a.get(v, 0) + b.get(v, 0) for v in set(a) | set(b)})
+        assert got.exps == expected.exps
+        assert got.degree == expected.degree
+        assert hash(got) == hash(expected)
+        assert got == expected
 
 
 class TestActions:

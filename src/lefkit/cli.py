@@ -45,7 +45,7 @@ def _parse_forms(text):
 
 def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -53,7 +53,7 @@ def _emit(args, payload):
 
 
 def _maybe_screen(args, matrix):
-    if getattr(args, "screen", None):
+    if args.screen:
         return {"modulus": args.screen, "rank_mod_p": linalg.rank_mod_p(matrix, args.screen)}
     return None
 
@@ -70,7 +70,7 @@ def _wlp_payload(report, frame, args):
             "full_rank": p.full_rank,
             "failure_mode": p.failure_mode,
         }
-        if args.embed_matrices or getattr(args, "screen", None):
+        if args.embed_matrices or args.screen:
             mat = monomials.multiplication_matrix(frame, L, p.k)
             if args.embed_matrices:
                 item["matrix"] = mat.to_json_dict()
@@ -197,9 +197,9 @@ def cmd_kernel(args):
         if screen:
             payload["screen"] = screen
     # every transpose-kernel element obeys the divergence degree bound
+    cap = max(frame.cap_map.values())
     for p in piece.basis:
         rescaled = monomials.divided_power_rescale(p)
-        cap = max(dict(frame.caps).values())
         try:
             ok = lf.divergence_bound_check(rescaled, cap, n=len(cx.vertices))
         except HypothesisError as exc:
@@ -332,13 +332,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, matrices=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--embed-matrices", action="store_true")
-        p.add_argument("--screen", type=int, default=None, metavar="P",
-                       help="also report ranks mod the prime P (screening only)")
+        if matrices:
+            p.add_argument("--embed-matrices", action="store_true")
+            p.add_argument("--screen", type=int, default=None, metavar="P",
+                           help="also report ranks mod the prime P (screening only)")
         return p
 
     p = add("info", cmd_info, help="f/h-vectors, CM, pseudomanifold, homology, balancedness")
@@ -350,7 +351,7 @@ def build_parser():
     p.add_argument("--degrees", default=None, help="comma-separated degrees")
     p.add_argument("--forms", default=None, help="semicolon-separated forms or a .json file")
 
-    p = add("wlp", cmd_wlp, help="weak Lefschetz report")
+    p = add("wlp", cmd_wlp, matrices=True, help="weak Lefschetz report")
     p.add_argument("--complex", required=True)
     p.add_argument("--caps", required=True)
 
@@ -358,7 +359,7 @@ def build_parser():
     p.add_argument("--complex", required=True)
     p.add_argument("--caps", required=True)
 
-    p = add("kernel", cmd_kernel, help="transpose-kernel basis at a degree")
+    p = add("kernel", cmd_kernel, matrices=True, help="transpose-kernel basis at a degree")
     p.add_argument("--complex", required=True)
     p.add_argument("--caps", required=True)
     p.add_argument("--degree", type=int, required=True)
@@ -371,7 +372,8 @@ def build_parser():
     p.add_argument("--complex", required=True)
     p.add_argument("--i", type=int, required=True)
 
-    p = add("spread", cmd_spread, help="analytic spread of a monomial or facet ideal")
+    p = add("spread", cmd_spread, matrices=True,
+            help="analytic spread of a monomial or facet ideal")
     p.add_argument("--complex", default=None)
     p.add_argument("--ideal", default=None, help="semicolon-separated monomials or a .json file")
 

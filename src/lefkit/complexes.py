@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional
@@ -274,7 +273,7 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> linalg.ExactMatrix:
         vs = sorted(f)
         for pos, v in enumerate(vs):
             sub = frozenset(vs[:pos] + vs[pos + 1:])
-            entries[(lo_index[sub], j)] = Fraction((-1) ** pos)
+            entries[(lo_index[sub], j)] = (-1) ** pos
     return linalg.ExactMatrix(len(lo), len(hi), entries)
 
 

@@ -1,15 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
-Every rank-based decision in the library goes through this module: ranks
-and kernels are computed by fraction-free integer elimination (rows are
-scaled to integers and combined without ever forming intermediate
+Entries are kept in one normal form: an ``int`` when integral, and a
+``Fraction`` only when there is a denominator.  One conversion,
+``_integer_rows``, feeds every elimination, which is fraction-free
+integer elimination (rows are combined without ever forming intermediate
 fractions, with a gcd normalisation after each combination to keep
 entries small).  Pivots prefer sparse columns, with deterministic
 tie-breaking by lowest column index then lowest row index, so results and
 kernel bases are reproducible across runs and platforms.  A lazy min-heap
 of (row count, column) finds that column without scanning all of them.
 
-``rank_mod_p`` runs the same elimination loop with every combined row
+``rank_mod_p`` runs the same elimination loop on the same integer rows
 reduced mod p.  It is a screening heuristic only: it is guaranteed to be
 a lower bound on the rational rank and must never substitute for it.
 """
@@ -25,21 +26,23 @@ from typing import Iterable, Sequence
 from .errors import InvalidModulus, ParseError
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _exact(x) -> int | Fraction:
+    """An exact rational in normal form: an ``int`` when integral, else a
+    ``Fraction``; a ``bool`` becomes an ``int`` and a ``str`` is parsed."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 class ExactMatrix:
     """Immutable sparse matrix with arbitrary-precision rational entries.
 
-    Entries are stored as a map ``(row, col) -> Fraction`` with no zeros
-    and no duplicates.
+    Entries are stored as a map ``(row, col) -> int | Fraction`` with no
+    zeros and no duplicates, each in the normal form of ``_exact``.
     """
 
     __slots__ = ("rows", "cols", "entries", "_rank")
@@ -51,10 +54,10 @@ class ExactMatrix:
         self.cols = cols
         cleaned = {}
         for (i, j), v in (entries or {}).items():
-            v = _as_fraction(v)
+            v = _exact(v)
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-            if v != 0:
+            if v:
                 cleaned[(i, j)] = v
         self.entries = cleaned
         self._rank = None
@@ -68,8 +71,7 @@ class ExactMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = _as_fraction(v)
+                entries[(i, j)] = v
         return cls(rows, cols, entries)
 
     @classmethod
@@ -79,11 +81,11 @@ class ExactMatrix:
             key = (i, j)
             if key in entries:
                 raise ValueError(f"duplicate triplet at {key}")
-            entries[key] = _as_fraction(v)
+            entries[key] = v
         return cls(rows, cols, entries)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
+    def entry(self, i: int, j: int) -> int | Fraction:
+        return self.entries.get((i, j), 0)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
@@ -97,7 +99,7 @@ class ExactMatrix:
         return rows
 
     def to_dense(self):
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             out[i][j] = v
         return out
@@ -106,7 +108,7 @@ class ExactMatrix:
         """Matrix-vector product, exact."""
         if len(vector) != self.cols:
             raise ValueError("dimension mismatch")
-        out = [Fraction(0)] * self.rows
+        out = [0] * self.rows
         for (i, j), v in self.entries.items():
             if vector[j]:
                 out[i] += v * vector[j]
@@ -116,17 +118,14 @@ class ExactMatrix:
         return len(self.entries)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Exact sparse product; integral entries multiply as ints."""
+        """Exact sparse product."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        right = [dict() for _ in range(other.rows)]
-        for (k, j), v in other.entries.items():
-            right[k][j] = v.numerator if v.denominator == 1 else v
+        right = other.row_dicts()
         out = {}
         for (i, k), a in self.entries.items():
-            a = a.numerator if a.denominator == 1 else a
             for j, b in right[k].items():
                 out[i, j] = out.get((i, j), 0) + a * b
         return ExactMatrix(self.rows, other.cols, out)
@@ -148,10 +147,7 @@ class ExactMatrix:
     # --- triplet JSON form used by golden-file tests -------------------
 
     def to_json_dict(self) -> dict:
-        triplets = [
-            [i, j, f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)]
-            for (i, j), v in sorted(self.entries.items())
-        ]
+        triplets = [[i, j, str(v)] for (i, j), v in sorted(self.entries.items())]
         return {"rows": self.rows, "cols": self.cols, "triplets": triplets}
 
     @classmethod
@@ -159,7 +155,7 @@ class ExactMatrix:
         try:
             return cls.from_triplets(
                 int(obj["rows"]), int(obj["cols"]),
-                ((int(i), int(j), Fraction(v)) for i, j, v in obj["triplets"]),
+                ((int(i), int(j), v) for i, j, v in obj["triplets"]),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ParseError(f"bad matrix JSON: {exc}") from exc
@@ -167,7 +163,7 @@ class ExactMatrix:
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """Basis of the right kernel of a matrix, as exact rational vectors."""
+    """Basis of the right kernel of a matrix, as primitive integer vectors."""
 
     vectors: tuple
     ambient_dim: int
@@ -178,13 +174,16 @@ class KernelBasis:
 
 
 def _integer_rows(matrix: ExactMatrix):
-    """Rows as integer dicts, each scaled by the lcm of its denominators."""
+    """Nonempty rows as integer dicts; a row with fractions is scaled by
+    the lcm of its denominators, an integral row is passed through."""
     rows = []
     for row in matrix.row_dicts():
         if not row:
             continue
         scale = math.lcm(*(v.denominator for v in row.values()))
-        rows.append({j: int(v * scale) for j, v in row.items()})
+        if scale != 1:
+            row = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+        rows.append(row)
     return rows
 
 
@@ -305,24 +304,22 @@ def kernel_basis(matrix: ExactMatrix) -> KernelBasis:
     free_cols = [j for j in range(matrix.cols) if j not in pivot_cols]
     vectors = []
     for f in free_cols:
-        x = {f: Fraction(1)}
+        # solve p * x_c + s = 0 in integers: scale x by p / g, x_c = -s / g
+        x = {f: 1}
         for r, c in reversed(pivots):
             row = rows[r]
-            s = Fraction(0)
-            for j, v in row.items():
-                if j != c and j in x:
-                    s += v * x[j]
+            s = sum(v * x[j] for j, v in row.items() if j != c and j in x)
             if s:
-                x[c] = -s / Fraction(row[c])
-        vec = [x.get(j, Fraction(0)) for j in range(matrix.cols)]
-        scale = math.lcm(*(v.denominator for v in vec))
-        ints = [int(v * scale) for v in vec]
-        g = math.gcd(*ints)
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v)
-        if lead < 0:
-            ints = [-v for v in ints]
-        vectors.append(tuple(Fraction(v) for v in ints))
+                g = math.gcd(s, row[c])
+                scale = row[c] // g
+                if scale != 1:
+                    x = {j: v * scale for j, v in x.items()}
+                x[c] = -s // g
+        vec = [x.get(j, 0) for j in range(matrix.cols)]
+        g = math.gcd(*vec)
+        if next(v for v in vec if v) < 0:
+            g = -g
+        vectors.append(tuple(v // g for v in vec))
     return KernelBasis(tuple(vectors), matrix.cols)
 
 
@@ -357,12 +354,10 @@ def rank_mod_p(matrix: ExactMatrix, p: int) -> int:
     """
     if not _is_prime(p):
         raise InvalidModulus(f"modulus must be prime, got {p}")
-    rows: list[dict[int, int]] = [dict() for _ in range(matrix.rows)]
     for (i, j), v in matrix.entries.items():
         if v.denominator % p == 0:
             raise InvalidModulus(f"denominator of entry ({i},{j}) vanishes mod {p}")
-        x = v.numerator * pow(v.denominator, -1, p) % p
-        if x:
-            rows[i][j] = x
+    # each integer row is a unit multiple mod p of the row's residues
+    rows = [{j: v % p for j, v in row.items() if v % p} for row in _integer_rows(matrix)]
     pivots, _ = _eliminate(rows, p)
     return len(pivots)

@@ -571,7 +571,7 @@ def log_matrix(ideal: IdealPresentation) -> LogMatrix:
     entries = {}
     for i, m in enumerate(monos):
         for v, e in m.exps:
-            entries[(i, col[v])] = Fraction(e)
+            entries[(i, col[v])] = e
     mat = linalg.ExactMatrix(len(monos), len(ideal.variables), entries)
     return LogMatrix(mat, tuple(monos), ideal.variables)
 

@@ -38,6 +38,14 @@ class TestInfo:
         assert out1 == out2
 
 
+    def test_matrix_flags_are_refused(self, capsys):
+        # --screen and --embed-matrices belong to wlp, kernel and spread only
+        code, out, _ = run(capsys, "info", "--complex", fixture_path("oct"), "--screen", "7")
+        assert (code, out) == (2, "")
+        code, out, _ = run(capsys, "info", "--complex", fixture_path("oct"), "--embed-matrices")
+        assert (code, out) == (2, "")
+
+
 class TestHf:
     def test_cross4_capped(self, capsys):
         payload = run_json(

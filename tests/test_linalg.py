@@ -1,6 +1,7 @@
 """Exact rank, kernel and modular screening."""
 
 import copy
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lefkit import fixtures
-from lefkit.errors import InvalidModulus
+from lefkit.complexes import boundary_matrix, homology
+from lefkit.errors import InvalidModulus, ParseError
 from lefkit.linalg import (
     ExactMatrix,
     _eliminate,
@@ -335,19 +337,32 @@ def _sparse(rows, cols, data):
     return ExactMatrix(rows, cols, {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)})
 
 
+# zeros, small integers and small fractions (denominators up to 6)
+rational_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+def _dense(draw, rows, cols):
+    return draw(st.lists(st.lists(rational_entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
 @st.composite
 def product_pairs(draw):
     """Dense rational factors of an m×n by n×p product; any side may be
     0, and zero entries are common, so zero products occur."""
     m, n, p = (draw(st.integers(0, 5)) for _ in range(3))
-    entry = st.one_of(
-        st.just(Fraction(0)),
-        st.integers(-3, 3).map(Fraction),
-        st.fractions(min_value=-4, max_value=4, max_denominator=6),
-    )
-    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
-    b = draw(st.lists(st.lists(entry, min_size=p, max_size=p), min_size=n, max_size=n))
-    return (m, n, a), (n, p, b)
+    return (m, n, _dense(draw, m, n)), (n, p, _dense(draw, n, p))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Zero-heavy rational matrices up to 6×7; either side may be 0."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    return _sparse(rows, cols, _dense(draw, rows, cols))
 
 
 def dense_product(a, b, m, n, p):
@@ -367,7 +382,10 @@ class TestProduct:
         got = _sparse(m, n, a) @ _sparse(n, p, b)
         assert got == _sparse(m, p, dense_product(a, b, m, n, p))
         assert (got.rows, got.cols) == (m, p)
-        assert all(isinstance(v, Fraction) and v for v in got.entries.values())
+        assert all(
+            v and (type(v) is int or (type(v) is Fraction and v.denominator > 1))
+            for v in got.entries.values()
+        )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -378,7 +396,39 @@ class TestProduct:
             ExactMatrix(1, 1) @ 2
 
 
+class TestNormalForm:
+    def test_integral_entries_are_ints(self):
+        m = ExactMatrix(1, 6, {(0, 0): Fraction(4, 2), (0, 1): "3/1", (0, 2): True,
+                               (0, 3): Fraction(1, 3), (0, 4): "0", (0, 5): False})
+        assert m.entries == {(0, 0): 2, (0, 1): 3, (0, 2): 1, (0, 3): Fraction(1, 3)}
+        assert [type(m.entry(0, j)) for j in range(6)] == [int, int, int, Fraction, int, int]
+
+    def test_from_dense_bool(self):
+        m = ExactMatrix.from_dense([[True, 0]])
+        assert m.entries == {(0, 0): 1}
+        assert type(m.entry(0, 0)) is int
+        assert m.to_json_dict()["triplets"] == [[0, 0, "1"]]
+
+    def test_float_refused_even_when_zero(self):
+        with pytest.raises(TypeError):
+            ExactMatrix.from_dense([[0.0]])
+        with pytest.raises(TypeError):
+            ExactMatrix.from_triplets(1, 1, [(0, 0, 1.0)])
+
+
 class TestJson:
+    def test_float_is_a_parse_error(self):
+        obj = json.loads('{"rows": 1, "cols": 1, "triplets": [[0, 0, 0.1]]}')
+        with pytest.raises(ParseError):
+            ExactMatrix.from_json_dict(obj)
+
+    def test_true_loads_as_one(self):
+        obj = json.loads('{"rows": 1, "cols": 2, "triplets": [[0, 1, true]]}')
+        m = ExactMatrix.from_json_dict(obj)
+        assert m.entries == {(0, 1): 1}
+        assert type(m.entry(0, 1)) is int
+        assert m.to_json_dict()["triplets"] == [[0, 1, "1"]]
+
     def test_triplet_roundtrip(self):
         m = ExactMatrix.from_dense([[Fraction(1, 2), 0], [0, -3]])
         again = ExactMatrix.from_json_dict(m.to_json_dict())
@@ -388,3 +438,99 @@ class TestJson:
             "cols": 2,
             "triplets": [[0, 0, "1/2"], [1, 1, "-3"]],
         }
+
+
+def kernel_reference(matrix):
+    """Kernel basis by back-substitution over the rationals.
+
+    The reference for ``kernel_basis``, which back-substitutes in
+    integers: rows scaled to integers through ``Fraction`` arithmetic,
+    each vector solved with ``Fraction`` entries, then scaled by the lcm
+    of its denominators to a primitive vector with a positive lead.
+    """
+    rows = []
+    for row in matrix.row_dicts():
+        if row:
+            scale = math.lcm(*(Fraction(v).denominator for v in row.values()))
+            rows.append({j: int(v * scale) for j, v in row.items()})
+    pivots, rows = _eliminate(rows)
+    pivot_cols = {c for _, c in pivots}
+    vectors = []
+    for f in (j for j in range(matrix.cols) if j not in pivot_cols):
+        x = {f: Fraction(1)}
+        for r, c in reversed(pivots):
+            row = rows[r]
+            s = Fraction(0)
+            for j, v in row.items():
+                if j != c and j in x:
+                    s += v * x[j]
+            if s:
+                x[c] = -s / Fraction(row[c])
+        vec = [x.get(j, Fraction(0)) for j in range(matrix.cols)]
+        scale = math.lcm(*(v.denominator for v in vec))
+        ints = [int(v * scale) for v in vec]
+        g = math.gcd(*ints)
+        ints = [v // g for v in ints]
+        if next(v for v in ints if v) < 0:
+            ints = [-v for v in ints]
+        vectors.append(tuple(Fraction(v) for v in ints))
+    return tuple(vectors)
+
+
+def _same_kernel(matrix):
+    got = kernel_basis(matrix).vectors
+    assert got == kernel_reference(matrix)
+    assert all(type(x) is int for v in got for x in v)
+    return got
+
+
+class TestIntegerKernelOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices())
+    @example(_sparse(2, 3, [[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(-2, 5), 3]]))
+    @example(_sparse(1, 3, [[-2, 4, 6]]))
+    def test_rational_matrices(self, m):
+        _same_kernel(m)
+
+    @pytest.mark.parametrize("caps", [2, 3, 4, 5])
+    def test_transposed_oct_maps(self, cx, caps):
+        frame = ArtinianFrame(cx("OCT"), caps)
+        for k in range(frame.socle_degree()):
+            _same_kernel(multiplication_matrix(frame, frame.linear_form(), k).transpose())
+
+    def test_transposed_ball10_caps4_degree9(self, cx):
+        frame = ArtinianFrame(cx("BALL10"), 4)
+        got = _same_kernel(multiplication_matrix(frame, frame.linear_form(), 8).transpose())
+        assert len(got) == 7
+
+    @pytest.mark.parametrize("name", fixtures.DECLARED_SPHERES)
+    def test_top_boundary_cycle(self, cx, name):
+        c = cx(name)
+        (top,) = _same_kernel(boundary_matrix(c, c.dim))
+        assert homology(c).top_cycle == top
+
+
+def residue_rows(matrix, p):
+    """Dense residues num * den^-1 mod p of every entry."""
+    return [[v.numerator * pow(v.denominator, -1, p) % p for v in row]
+            for row in matrix.to_dense()]
+
+
+class TestRationalModP:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices(), st.sampled_from([2, 3, 5, 7, 10007]))
+    @example(_sparse(1, 2, [[Fraction(1, 2), 1]]), 2)
+    @example(_sparse(2, 2, [[Fraction(1, 3), 1], [1, 3]]), 5)
+    def test_matches_dense_residue_reduction(self, m, p):
+        if any(v.denominator % p == 0 for v in m.entries.values()):
+            with pytest.raises(InvalidModulus):
+                rank_mod_p(m, p)
+        else:
+            assert rank_mod_p(m, p) == dense_rank_mod_p(residue_rows(m, p), p)
+
+    def test_vanishing_denominator_named(self):
+        m = _sparse(2, 2, [[1, 0], [0, Fraction(5, 6)]])
+        with pytest.raises(InvalidModulus, match=r"entry \(1,1\) vanishes mod 3"):
+            rank_mod_p(m, 3)
+        assert rank_mod_p(m, 5) == 1
+        assert rank_mod_p(m, 7) == 2

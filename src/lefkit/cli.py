@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import lefschetz as lf
 from . import linalg, monomials, subdivision
@@ -52,10 +53,14 @@ def _emit(args, payload):
         sys.stdout.write(text)
 
 
-def _maybe_screen(args, matrix):
+def _attach_matrix(args, payload, key, matrix):
+    """Embed the matrix under key, and its rank mod the screening prime,
+    as the options ask."""
+    if args.embed_matrices:
+        payload[key] = matrix.to_json_dict()
     if args.screen:
-        return {"modulus": args.screen, "rank_mod_p": linalg.rank_mod_p(matrix, args.screen)}
-    return None
+        payload["screen"] = {"modulus": args.screen,
+                             "rank_mod_p": linalg.rank_mod_p(matrix, args.screen)}
 
 
 def _wlp_payload(report, frame, args):
@@ -71,12 +76,7 @@ def _wlp_payload(report, frame, args):
             "failure_mode": p.failure_mode,
         }
         if args.embed_matrices or args.screen:
-            mat = monomials.multiplication_matrix(frame, L, p.k)
-            if args.embed_matrices:
-                item["matrix"] = mat.to_json_dict()
-            screen = _maybe_screen(args, mat)
-            if screen:
-                item["screen"] = screen
+            _attach_matrix(args, item, "matrix", monomials.multiplication_matrix(frame, L, p.k))
         per.append(item)
     return {"holds": report.holds, "socle_degree": report.socle_degree, "per_degree": per}
 
@@ -191,11 +191,7 @@ def cmd_kernel(args):
     }
     if args.embed_matrices or args.screen:
         mat = monomials.multiplication_matrix(frame, frame.linear_form(), args.degree - 1)
-        if args.embed_matrices:
-            payload["matrix"] = mat.to_json_dict()
-        screen = _maybe_screen(args, mat)
-        if screen:
-            payload["screen"] = screen
+        _attach_matrix(args, payload, "matrix", mat)
     # every transpose-kernel element obeys the divergence degree bound
     cap = max(frame.cap_map.values())
     for p in piece.basis:
@@ -243,11 +239,7 @@ def cmd_spread(args):
         "analytic_spread": spread,
         "maximal": spread == len(ideal.generators),
     }
-    if args.embed_matrices:
-        payload["log_matrix"] = log.matrix.to_json_dict()
-    screen = _maybe_screen(args, log.matrix)
-    if screen:
-        payload["screen"] = screen
+    _attach_matrix(args, payload, "log_matrix", log.matrix)
     _emit(args, payload)
     return 0
 
@@ -398,10 +390,13 @@ def build_parser():
     return parser
 
 
+# parsing leaves a parser unchanged, so main builds one per process
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

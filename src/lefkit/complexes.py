@@ -1,9 +1,13 @@
-"""Simplicial complexes and their topological predicates.
+"""Simplicial complexes, their topological predicates and the library's
+combinatorial primitives.
 
 A complex is stored by its inclusion-maximal facets over integer vertex
 ids.  All operations are pure and complexes are immutable, so values can
 be shared freely.  Homology is computed over the rationals throughout;
 this pins characteristic zero for every downstream Lefschetz statement.
+The one ridge map (``_ridges``), the one breadth-first search
+(``_reachable``) and the face compositions behind face monomials and
+hesd lattice points (``_face_compositions``) live here.
 """
 
 from __future__ import annotations
@@ -219,6 +223,32 @@ def from_facets(facet_list, name="", meta=None) -> SimplicialComplex:
     return SimplicialComplex(facet_list, name=name, meta=meta)
 
 
+def _compositions(total, bounds, least=1):
+    """Tuples of parts from least (0 or 1) up to their slot's bound,
+    summing to total, in lex order."""
+    if not bounds:
+        if total == 0:
+            yield ()
+        return
+    rest = bounds[1:]
+    lo = max(least, total - sum(rest))
+    hi = min(bounds[0], total - least * len(rest))
+    for head in range(lo, hi + 1):
+        for tail in _compositions(total - head, rest, least):
+            yield (head,) + tail
+
+
+def _face_compositions(cx: SimplicialComplex, k: int, caps=None):
+    """The degree-k monomials supported on faces, exponents below caps, as
+    (sorted face, exponents) pairs; a vertex without a cap is bounded by k."""
+    for face in _all_faces(cx):
+        if len(face) <= k:
+            vs = sorted(face)
+            bounds = [min(k, caps.get(v, k + 1) - 1) if caps else k for v in vs]
+            for combo in _compositions(k, bounds):
+                yield vs, combo
+
+
 @lru_cache(maxsize=1024)
 def _all_faces(cx: SimplicialComplex) -> tuple:
     seen = {frozenset()}
@@ -270,10 +300,8 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> linalg.ExactMatrix:
     lo_index = {f: i for i, f in enumerate(lo)}
     entries = {}
     for j, f in enumerate(hi):
-        vs = sorted(f)
-        for pos, v in enumerate(vs):
-            sub = frozenset(vs[:pos] + vs[pos + 1:])
-            entries[(lo_index[sub], j)] = (-1) ** pos
+        for pos, v in enumerate(sorted(f)):
+            entries[(lo_index[f - {v}], j)] = (-1) ** pos
     return linalg.ExactMatrix(len(lo), len(hi), entries)
 
 
@@ -310,12 +338,20 @@ def is_cohen_macaulay(cx: SimplicialComplex) -> CMReport:
     return CMReport(True)
 
 
-def _ridge_degrees(cx: SimplicialComplex):
-    deg = {}
-    for f in cx.facets:
-        for r in combinations(sorted(f), len(f) - 1):
-            deg[frozenset(r)] = deg.get(frozenset(r), 0) + 1
-    return deg
+def _ridges(facets) -> dict:
+    """Each ridge f - {v} of the facets, mapped to the ascending indices of
+    the facets holding it: its degree is the length of the list.  Facets
+    sharing a ridge have equal size and share no other ridge."""
+    held = {}
+    for i, f in enumerate(facets):
+        for v in f:
+            held.setdefault(f - {v}, []).append(i)
+    return held
+
+
+def _ridge_pairs(held: dict):
+    """Index pairs (i < j) of facets meeting in a ridge, ascending."""
+    return sorted(p for h in held.values() for p in combinations(h, 2))
 
 
 def _adjacency(nodes, edges):
@@ -327,39 +363,51 @@ def _adjacency(nodes, edges):
     return adj
 
 
-def _reachable(adj, start) -> set:
-    """Nodes reachable from start in an adjacency mapping."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for v in adj[stack.pop()] - seen:
-            seen.add(v)
-            stack.append(v)
-    return seen
+def _reachable(adj, start) -> dict:
+    """Breadth-first spanning tree of start's component in an undirected
+    adjacency mapping: each reachable node mapped to its parent (the root
+    to None), in visiting order, with neighbours visited in sorted order."""
+    tree = {start: None}
+    order = [start]
+    for u in order:
+        for v in sorted(adj[u]):
+            if v not in tree:
+                tree[v] = u
+                order.append(v)
+    return tree
 
 
-def _ridge_pairs(facets):
-    """Index pairs (i < j) of equal-size facets that meet in a ridge."""
-    return [
-        (i, j)
-        for i in range(len(facets))
-        for j in range(i + 1, len(facets))
-        if len(facets[i]) == len(facets[j]) == len(facets[i] & facets[j]) + 1
-    ]
+def _orientable(facets, held, tree) -> bool:
+    """Whether a closed, strongly connected pseudomanifold is orientable:
+    facet signs fixed along a spanning tree of its facet-ridge graph
+    cancel on every ridge.  Its top rational homology is then
+    one-dimensional, and zero otherwise."""
+
+    def sign(i, r):  # of ridge r in the boundary of facet i
+        (v,) = facets[i] - r
+        return (-1) ** sum(u < v for u in r)
+
+    orient = dict.fromkeys(tree, 1)
+    for i, p in tree.items():
+        if p is not None:
+            r = facets[i] & facets[p]
+            orient[i] = -orient[p] * sign(p, r) * sign(i, r)
+    return all(orient[i] * sign(i, r) == -orient[j] * sign(j, r) for r, (i, j) in held.items())
 
 
 def pseudomanifold_status(cx: SimplicialComplex) -> PseudomanifoldStatus:
-    """Purity, strong connectivity, ridge degrees, boundary and orientability."""
+    """Purity, strong connectivity, ridge degrees, boundary and orientability,
+    read from the ridge map and one BFS of the facet-ridge graph."""
     pure = cx.is_pure()
-    adj = _adjacency(range(len(cx.facets)), _ridge_pairs(cx.facets))
-    strongly_connected = len(_reachable(adj, 0)) == len(cx.facets)
-    deg = _ridge_degrees(cx)
-    max_deg = max(deg.values()) if deg else 0
-    boundary_ridges = [r for r, c in sorted(deg.items(), key=lambda kv: sorted(kv[0])) if c == 1]
+    held = _ridges(cx.facets)
+    adj = _adjacency(range(len(cx.facets)), _ridge_pairs(held))
+    tree = _reachable(adj, 0)
+    strongly_connected = len(tree) == len(cx.facets)
+    max_deg = max(map(len, held.values()))
+    boundary_ridges = [r for r, h in held.items() if len(h) == 1]
     boundary = SimplicialComplex(boundary_ridges) if boundary_ridges else None
-    orientable = False
-    if pure and strongly_connected and max_deg <= 2 and boundary is None:
-        orientable = homology(cx).rank(cx.dim) == 1
+    orientable = (pure and strongly_connected and max_deg <= 2 and boundary is None
+                  and _orientable(cx.facets, held, tree))
     return PseudomanifoldStatus(pure, strongly_connected, max_deg, boundary, orientable)
 
 
@@ -381,29 +429,27 @@ def one_skeleton_edges(cx: SimplicialComplex):
 
 
 def balanced_coloring(cx: SimplicialComplex) -> Optional[Coloring]:
-    """Proper (dim+1)-coloring of the 1-skeleton by exhaustive backtracking."""
+    """Proper (dim+1)-coloring of the 1-skeleton by exhaustive backtracking
+    over ascending vertices and colours, on an explicit stack."""
     if not cx.is_pure():
         raise PurityError("balancedness presumes a pure complex")
     k = cx.dim + 1
     verts = list(cx.vertices)
     adj = _adjacency(verts, one_skeleton_edges(cx))
     assignment = {}
-
-    def backtrack(idx):
-        if idx == len(verts):
-            return True
-        v = verts[idx]
-        used = {assignment[u] for u in adj[v] if u in assignment}
-        for c in range(1, k + 1):
-            if c not in used:
-                assignment[v] = c
-                if backtrack(idx + 1):
-                    return True
-                del assignment[v]
-        return False
-
-    if not backtrack(0):
-        return None
+    # tries[i] holds the colours verts[i] has left to try, in order 1..k,
+    # given the colours of verts[:i]
+    tries = []
+    while len(tries) < len(verts):
+        used = {assignment[u] for u in adj[verts[len(tries)]] if u in assignment}
+        tries.append(iter([c for c in range(1, k + 1) if c not in used]))
+        # take the next colour, backing up past vertices with none left
+        while (c := next(tries[-1], None)) is None:
+            tries.pop()
+            if not tries:
+                return None
+            assignment.pop(verts[len(tries)], None)
+        assignment[verts[len(tries) - 1]] = c
     return Coloring(dict(assignment), k)
 
 

@@ -45,7 +45,7 @@ class ExactMatrix:
     zeros and no duplicates, each in the normal form of ``_exact``.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_rank")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -60,7 +60,6 @@ class ExactMatrix:
             if v:
                 cleaned[(i, j)] = v
         self.entries = cleaned
-        self._rank = None
 
     @classmethod
     def from_dense(cls, data: Sequence[Sequence]) -> "ExactMatrix":
@@ -285,10 +284,8 @@ def _eliminate(rows, modulus=None):
 
 def rank(matrix: ExactMatrix) -> int:
     """Exact rank over the rationals."""
-    if matrix._rank is None:
-        pivots, _ = _eliminate(_integer_rows(matrix))
-        matrix._rank = len(pivots)
-    return matrix._rank
+    pivots, _ = _eliminate(_integer_rows(matrix))
+    return len(pivots)
 
 
 def kernel_basis(matrix: ExactMatrix) -> KernelBasis:
@@ -299,7 +296,6 @@ def kernel_basis(matrix: ExactMatrix) -> KernelBasis:
     first nonzero entry is positive.  Vectors are ordered by free column.
     """
     pivots, rows = _eliminate(_integer_rows(matrix))
-    matrix._rank = len(pivots)
     pivot_cols = {c for _, c in pivots}
     free_cols = [j for j in range(matrix.cols) if j not in pivot_cols]
     vectors = []

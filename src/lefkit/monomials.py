@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import linalg, subdivision
-from .complexes import SimplicialComplex, faces
+from .complexes import SimplicialComplex, _face_compositions, faces
 from .errors import (
     EquigenerationError,
     HomogeneityError,
@@ -112,14 +112,18 @@ _ONE = Monomial(())
 
 
 class Polynomial:
-    """Sparse polynomial: map Monomial -> nonzero rational coefficient."""
+    """Sparse polynomial: map Monomial -> nonzero rational coefficient.
+
+    Coefficients are stored as ``Fraction``; an ``int`` or a ``str`` is
+    converted, anything else (floats included) is a ``TypeError``.
+    """
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         cleaned = {}
         for m, c in (terms or {}).items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            c = c if isinstance(c, Fraction) else Fraction(linalg._exact(c))
             if c:
                 cleaned[m] = c
         self.terms = cleaned
@@ -131,7 +135,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls({_ONE: Fraction(c)})
+        return cls({_ONE: c})
 
     @classmethod
     def variable(cls, v: int, power: int = 1) -> "Polynomial":
@@ -139,7 +143,7 @@ class Polynomial:
 
     @classmethod
     def from_monomial(cls, m: Monomial, c=1) -> "Polynomial":
-        return cls({m: Fraction(c)})
+        return cls({m: c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -436,21 +440,6 @@ class ArtinianFrame:
         return f"ArtinianFrame({self.complex!r}, caps={caps})"
 
 
-def _compositions(total, bounds):
-    """Tuples of positive parts within per-slot upper bounds, lex order."""
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    first = bounds[0]
-    rest = bounds[1:]
-    lo = max(1, total - sum(rest))
-    hi = min(first, total - len(rest))
-    for head in range(lo, hi + 1):
-        for tail in _compositions(total - head, rest):
-            yield (head,) + tail
-
-
 def face_monomials(cx: SimplicialComplex, k: int, caps: Optional[dict] = None):
     """Monomials of degree k supported on faces, exponents below caps.
 
@@ -458,19 +447,7 @@ def face_monomials(cx: SimplicialComplex, k: int, caps: Optional[dict] = None):
     itself (no cap).  Output is in
     graded-lex ascending order (``Monomial.order_key``).
     """
-    if k == 0:
-        return [_ONE]
-    out = []
-    for face in cx.all_faces():
-        size = len(face)
-        if size == 0 or size > k:
-            continue
-        vs = sorted(face)
-        bounds = [min(k, caps.get(v, k + 1) - 1 if caps else k) for v in vs]
-        if sum(bounds) < k:
-            continue
-        for combo in _compositions(k, bounds):
-            out.append(Monomial(tuple(zip(vs, combo))))
+    out = [Monomial(tuple(zip(vs, combo))) for vs, combo in _face_compositions(cx, k, caps)]
     out.sort(key=Monomial.order_key)
     return out
 

@@ -2,15 +2,27 @@
 half-hollow edgewise subdivision.
 
 Vertices of derived complexes are freshly interned ids 1..N; the original
-objects (faces, lattice points) are attached as vertex labels.
+objects (faces, lattice points) are attached as vertex labels.  The graph
+primitives live in ``complexes``: facet-ridge edges come from its ridge
+map, and 2-colouring runs on its one breadth-first search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
-from .complexes import SimplicialComplex, _adjacency, _ridge_pairs, faces
+from .complexes import (
+    SimplicialComplex,
+    _adjacency,
+    _compositions,
+    _face_compositions,
+    _reachable,
+    _ridge_pairs,
+    _ridges,
+    faces,
+)
 from .errors import DimensionError, NotIncidenceLike, PurityError
 
 
@@ -55,43 +67,31 @@ class BipartiteResult:
 
 
 def bipartition_of(adjacency: dict) -> BipartiteResult:
-    """BFS 2-coloring of a graph given by an adjacency mapping.
+    """BFS 2-coloring of an undirected graph given by an adjacency mapping.
 
-    Returns the two sides, or an odd closed walk witnessing failure.
+    Each component, taken from its least node, is coloured along its
+    breadth-first tree; the first edge joining equal colours, scanning
+    the tree in visiting order and neighbours in sorted order, yields an
+    odd closed walk witnessing failure.  Otherwise returns the two sides.
     """
     color = {}
-    parent = {}
     for start in sorted(adjacency):
         if start in color:
             continue
-        color[start] = 0
-        parent[start] = None
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
+        tree = _reachable(adjacency, start)
+        for v, u in tree.items():
+            color[v] = 0 if u is None else 1 - color[u]
+        for u in tree:
             for v in sorted(adjacency[u]):
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    # walk both endpoints to the root; the joined paths
-                    # form an odd closed walk containing an odd cycle
-                    pu = []
-                    x = u
-                    while x is not None:
-                        pu.append(x)
-                        x = parent[x]
-                    pv = []
-                    x = v
-                    while x is not None:
-                        pv.append(x)
-                        x = parent[x]
-                    common = set(pu) & set(pv)
-                    cut_u = next(i for i, x in enumerate(pu) if x in common)
-                    cut_v = next(i for i, x in enumerate(pv) if x in common)
-                    cycle = pu[: cut_u + 1] + pv[:cut_v][::-1]
-                    return BipartiteResult(None, tuple(cycle))
+                if color[v] == color[u]:
+                    # neighbours lie at most one BFS level apart, so equal
+                    # colours mean equal depths: walk both ends up until
+                    # they meet; the joined paths close an odd cycle
+                    pu, pv = [u], [v]
+                    while pu[-1] != pv[-1]:
+                        pu.append(tree[pu[-1]])
+                        pv.append(tree[pv[-1]])
+                    return BipartiteResult(None, tuple(pu + pv[-2::-1]))
     side0 = tuple(sorted(v for v, c in color.items() if c == 0))
     side1 = tuple(sorted(v for v, c in color.items() if c == 1))
     return BipartiteResult((side0, side1))
@@ -117,7 +117,7 @@ def facet_ridge_graph(cx: SimplicialComplex) -> FacetRidgeGraph:
     """Facets joined whenever they meet in a ridge."""
     if not cx.is_pure():
         raise PurityError("facet-ridge graph needs a pure complex")
-    edges = tuple(_ridge_pairs(cx.facets))
+    edges = tuple(_ridge_pairs(_ridges(cx.facets)))
     bip = bipartition_of(_adjacency(range(len(cx.facets)), edges))
     return FacetRidgeGraph(cx.facets, edges, bip.sides if bip else None)
 
@@ -133,74 +133,58 @@ def incidence_complex(cx: SimplicialComplex, i: int) -> SimplicialComplex:
         raise DimensionError(f"incidence index {i} out of range 1..{cx.dim}")
     lower = faces(cx, i - 1)
     index = {f: n + 1 for n, f in enumerate(lower)}
-    new_facets = []
-    for g in faces(cx, i):
-        g = sorted(g)
-        sub = [frozenset(g[:p] + g[p + 1:]) for p in range(len(g))]
-        new_facets.append({index[s] for s in sub})
+    new_facets = [{index[g - {v}] for v in g} for g in faces(cx, i)]
     labels = {n + 1: f for n, f in enumerate(lower)}
     return SimplicialComplex(new_facets, labels=labels, name=f"{cx.name}({i})" if cx.name else "")
-
-
-def _level_points(n: int, r: int):
-    """All vectors of length n with non-negative entries summing to r, lex order."""
-    if n == 0:
-        if r == 0:
-            yield ()
-        return
-    for head in range(r + 1):
-        for tail in _level_points(n - 1, r - head):
-            yield (head,) + tail
 
 
 def hesd(cx: SimplicialComplex, r: int) -> SimplicialComplex:
     """r-fold half-hollow edgewise subdivision.
 
     Vertices are the level-r lattice points supported on faces of the
-    input; each facet F together with a level-(r-1) point supported inside
-    F spans the facet {a + e_i : i in F}.  Requires pairwise facet
-    intersections of size at most 1.  Vertex ids follow the lexicographic
-    order on coordinate vectors and carry LatticePoint labels.
+    input: the exponent vectors of its degree-r face monomials, built from
+    each face's compositions of r.  Each facet F together with a
+    level-(r-1) point supported inside F spans the facet
+    {a + e_i : i in F}.  Requires pairwise facet intersections of size at
+    most 1, checked through the edges each facet holds.  Vertex ids follow
+    the lexicographic order on coordinate vectors and carry LatticePoint
+    labels.
     """
     if r < 1:
         raise DimensionError("subdivision parameter must be >= 1")
     fs = cx.facets
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            if len(fs[i] & fs[j]) > 1:
-                raise NotIncidenceLike(
-                    f"facets {sorted(fs[i])} and {sorted(fs[j])} share more than one vertex"
-                )
+    holders = {}
+    for i, f in enumerate(fs):
+        for e in combinations(sorted(f), 2):
+            holders.setdefault(e, []).append(i)
+    shared = min((held[:2] for held in holders.values() if len(held) > 1), default=None)
+    if shared:
+        i, j = shared
+        raise NotIncidenceLike(
+            f"facets {sorted(fs[i])} and {sorted(fs[j])} share more than one vertex"
+        )
     ground = cx.vertices
     pos = {v: k for k, v in enumerate(ground)}
-    n = len(ground)
-
-    def supported(pt):
-        return cx.has_face(frozenset(ground[k] for k, c in enumerate(pt) if c))
-
-    verts = [pt for pt in _level_points(n, r) if supported(pt)]
-    vid = {pt: k + 1 for k, pt in enumerate(verts)}
+    # each point once, as its dense coordinates and its (position, value) pairs
+    points = {}
+    for vs, combo in _face_compositions(cx, r):
+        idxs = [pos[v] for v in vs]
+        coords = [0] * len(ground)
+        for k, c in zip(idxs, combo):
+            coords[k] = c
+        points[tuple(coords)] = tuple(zip(idxs, combo))
+    verts = sorted(points)
+    vid = {points[pt]: k + 1 for k, pt in enumerate(verts)}
     new_facets = set()
     for f in fs:
         idxs = sorted(pos[v] for v in f)
-        for base in _points_supported_in(idxs, n, r - 1):
-            facet = frozenset(vid[_bump(base, k)] for k in idxs)
-            new_facets.add(facet)
+        for base in _compositions(r - 1, (r - 1,) * len(idxs), 0):
+            new_facets.add(frozenset(vid[_bump(idxs, base, j)] for j in range(len(idxs))))
     labels = {k + 1: LatticePoint(pt) for k, pt in enumerate(verts)}
     return SimplicialComplex(sorted(new_facets, key=sorted), labels=labels,
                              name=f"hesd({cx.name},{r})" if cx.name else "")
 
 
-def _bump(pt, k):
-    out = list(pt)
-    out[k] += 1
-    return tuple(out)
-
-
-def _points_supported_in(idxs, n, r):
-    """Level-r points of length n supported inside the index set."""
-    for combo in _level_points(len(idxs), r):
-        pt = [0] * n
-        for k, c in zip(idxs, combo):
-            pt[k] = c
-        yield tuple(pt)
+def _bump(idxs, base, j):
+    """The (position, value) pairs of base + e_{idxs[j]}, zeros left out."""
+    return tuple((k, c + (i == j)) for i, (k, c) in enumerate(zip(idxs, base)) if c or i == j)

@@ -3,6 +3,7 @@
 import json
 from importlib import resources
 
+from lefkit import cli
 from lefkit.cli import main
 
 
@@ -256,3 +257,21 @@ class TestOutput:
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(capsys, "info", "--complex", "no/such/file.json")
         assert code == 2
+
+
+class TestScale:
+    def test_info_on_1500_vertex_path(self, capsys, tmp_path):
+        path = tmp_path / "path1500.json"
+        path.write_text(json.dumps({"name": "P1500", "facets": [[i, i + 1] for i in range(1, 1500)]}))
+        payload = run_json(capsys, "info", "--complex", str(path))
+        coloring = payload["balanced_coloring"]
+        assert len(coloring) == 1500 and set(coloring.values()) == {1, 2}
+
+
+class TestParser:
+    def test_one_parser_per_process(self, capsys):
+        assert cli._parser() is cli._parser()
+        # a refused invocation leaves the shared parser usable
+        assert run(capsys, "info", "--bogus")[0] == 2
+        assert run_json(capsys, "info", "--complex", fixture_path("c4"))["f_vector"] == [1, 4, 4]
+        assert run(capsys, "hesd", "--complex", fixture_path("edge"), "--r", "2")[0] == 0

@@ -10,6 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from lefkit.complexes import (
     CollapseCertificate,
+    _ridge_pairs,
+    _ridges,
     SimplicialComplex,
     balanced_coloring,
     boundary_matrix,
@@ -546,3 +548,134 @@ class TestReplay:
         elapsed = time.perf_counter() - t0
         assert len(cert.steps) == 10_000
         assert elapsed < 1.0
+
+
+# --- the replaced ridge, orientability and colouring code, kept as oracles ----
+
+
+def reference_ridge_pairs(facets):
+    """Index pairs (i < j) of equal-size facets that meet in a ridge, all pairs tried."""
+    return [
+        (i, j)
+        for i in range(len(facets))
+        for j in range(i + 1, len(facets))
+        if len(facets[i]) == len(facets[j]) == len(facets[i] & facets[j]) + 1
+    ]
+
+
+def reference_ridge_degrees(cx):
+    deg = {}
+    for f in cx.facets:
+        for r in combinations(sorted(f), len(f) - 1):
+            deg[frozenset(r)] = deg.get(frozenset(r), 0) + 1
+    return deg
+
+
+def reference_orientable(cx):
+    """Orientability read off the top rational homology."""
+    st_ = pseudomanifold_status(cx)
+    closed = st_.max_ridge_degree <= 2 and st_.boundary is None
+    return st_.pure and st_.strongly_connected and closed and homology(cx).rank(cx.dim) == 1
+
+
+def reference_balanced_coloring(cx):
+    """Recursive backtracking over ascending vertices and colours."""
+    k = cx.dim + 1
+    verts = list(cx.vertices)
+    adj = {v: set() for v in verts}
+    for a, b in (sorted(e) for e in faces(cx, 1)) if cx.dim >= 1 else ():
+        adj[a].add(b)
+        adj[b].add(a)
+    assignment = {}
+
+    def backtrack(idx):
+        if idx == len(verts):
+            return True
+        v = verts[idx]
+        used = {assignment[u] for u in adj[v] if u in assignment}
+        for c in range(1, k + 1):
+            if c not in used:
+                assignment[v] = c
+                if backtrack(idx + 1):
+                    return True
+                del assignment[v]
+        return False
+
+    return assignment if backtrack(0) else None
+
+
+@st.composite
+def ridge_complexes(draw):
+    """Complexes over up to 8 vertices with up to 9 facets of 1 to 4
+    vertices: non-pure ones and singleton facets included."""
+    n = draw(st.integers(1, 8))
+    facet = st.frozensets(st.integers(1, n), min_size=1, max_size=4)
+    return from_facets(draw(st.lists(facet, min_size=1, max_size=9)))
+
+
+RP2 = [{1, 2, 3}, {1, 3, 4}, {1, 4, 5}, {1, 5, 6}, {1, 2, 6}, {2, 3, 5}, {2, 4, 5},
+       {2, 4, 6}, {3, 4, 6}, {3, 5, 6}]
+TORUS7 = [{i % 7 + 1, (i + 1) % 7 + 1, (i + 3) % 7 + 1} for i in range(7)] + [
+    {i % 7 + 1, (i + 2) % 7 + 1, (i + 3) % 7 + 1} for i in range(7)
+]
+CLOSED = {
+    "S0": [{1}, {2}],
+    "C5": [{i, i % 5 + 1} for i in range(1, 6)],
+    "TETRA": [set(c) for c in combinations(range(1, 5), 3)],
+    "RP2": RP2,
+    "TORUS7": TORUS7,
+    "S3": [set(c) for c in combinations(range(1, 6), 4)],
+}
+
+
+class TestAgainstReplacedCode:
+    @settings(max_examples=300, deadline=None)
+    @given(ridge_complexes())
+    @example(from_facets([{1}, {2}, {3}]))
+    @example(from_facets([{1, 2, 3}, {3, 4}, {5}]))
+    def test_ridge_pairs_and_degrees(self, complex_):
+        held = _ridges(complex_.facets)
+        assert _ridge_pairs(held) == reference_ridge_pairs(complex_.facets)
+        assert {r: len(h) for r, h in held.items()} == reference_ridge_degrees(complex_)
+        assert pseudomanifold_status(complex_).orientable == reference_orientable(complex_)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(CLOSED)), st.randoms(use_true_random=False))
+    def test_orientability_of_relabelled_closed_pseudomanifolds(self, name, rng):
+        verts = sorted(set().union(*CLOSED[name]))
+        image = rng.sample(range(1, 3 * len(verts)), len(verts))
+        relabel = dict(zip(verts, image))
+        complex_ = from_facets([{relabel[v] for v in f} for f in CLOSED[name]])
+        got = pseudomanifold_status(complex_)
+        assert got.is_pseudomanifold() and got.boundary is None
+        assert got.orientable == reference_orientable(complex_) == (name != "RP2")
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixture_orientability(self, cx, name):
+        assert pseudomanifold_status(cx(name)).orientable == reference_orientable(cx(name))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ridge_complexes())
+    @example(from_facets([{2, 6, 8}, {3, 7, 8}, {5, 6, 7}]))  # backtracks past a stale colour
+    def test_balanced_coloring_matches_recursion(self, complex_):
+        assume(complex_.is_pure())
+        got = balanced_coloring(complex_)
+        expected = reference_balanced_coloring(complex_)
+        assert (got.assignment if got else None) == expected
+        if got:
+            assert list(got.assignment) == list(expected)
+
+
+class TestCombinatorialScale:
+    def test_pseudomanifold_status_of_3000_cycle(self):
+        c3000 = from_facets([{i, (i + 1) % 3000} for i in range(3000)])
+        t0 = time.perf_counter()
+        status = pseudomanifold_status(c3000)
+        elapsed = time.perf_counter() - t0
+        assert status.is_pseudomanifold() and status.orientable
+        assert elapsed < 0.1
+
+    def test_balanced_coloring_of_long_path_without_recursion(self):
+        rho = balanced_coloring(from_facets([{i, i + 1} for i in range(1, 1500)]))
+        assert rho.k == 2
+        assert [rho.assignment[v] for v in (1, 2, 3, 1500)] == [1, 2, 1, 2]

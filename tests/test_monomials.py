@@ -77,6 +77,27 @@ class TestParsing:
         assert str(P("x2 + x1")) == "x1 + x2"
 
 
+class TestExactCoefficients:
+    @pytest.mark.parametrize("make", [
+        lambda c: Polynomial({Monomial({1: 1}): c}),
+        Polynomial.constant,
+        lambda c: Polynomial.from_monomial(Monomial({1: 1}), c),
+    ])
+    def test_float_is_refused(self, make):
+        with pytest.raises(TypeError):
+            make(0.1)
+        with pytest.raises(TypeError):
+            make(1.0)
+
+    def test_exact_inputs_become_fractions(self):
+        p = Polynomial({Monomial({1: 1}): 2, Monomial({2: 1}): "1/3", Monomial({3: 1}): Fraction(3, 4)})
+        assert p.terms == {
+            Monomial({1: 1}): Fraction(2), Monomial({2: 1}): Fraction(1, 3),
+            Monomial({3: 1}): Fraction(3, 4),
+        }
+        assert all(type(c) is Fraction for c in p.terms.values())
+
+
 exponent_maps = st.dictionaries(st.integers(1, 6), st.integers(0, 4), max_size=5)
 
 

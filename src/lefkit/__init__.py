@@ -29,6 +29,7 @@ from .complexes import (
 from .lefschetz import (
     ClassifierResult,
     InverseSystemPiece,
+    IsotypicMaps,
     SopCandidate,
     UnexpectedReport,
     WlpReport,
@@ -42,6 +43,7 @@ from .lefschetz import (
     kernel_transpose_basis,
     quotient_hilbert,
     slp_check,
+    twin_pairs,
     universal_sop,
     verify_unexpected,
     wlp_check,

@@ -241,11 +241,14 @@ def _compositions(total, bounds, least=1):
 def _face_compositions(cx: SimplicialComplex, k: int, caps=None):
     """The degree-k monomials supported on faces, exponents below caps, as
     (sorted face, exponents) pairs; a vertex without a cap is bounded by k."""
+    shared = {}  # faces with equal bounds share their compositions
     for face in _all_faces(cx):
         if len(face) <= k:
             vs = sorted(face)
-            bounds = [min(k, caps.get(v, k + 1) - 1) if caps else k for v in vs]
-            for combo in _compositions(k, bounds):
+            bounds = tuple(min(k, caps.get(v, k + 1) - 1) if caps else k for v in vs)
+            if bounds not in shared:
+                shared[bounds] = tuple(_compositions(k, bounds))
+            for combo in shared[bounds]:
                 yield vs, combo
 
 
@@ -284,9 +287,10 @@ def fh_profile(cx: SimplicialComplex) -> FHProfile:
 def link(cx: SimplicialComplex, sigma) -> SimplicialComplex:
     """Link of a face, presented by its maximal elements."""
     s = frozenset(sigma)
-    if not cx.has_face(s):
+    rest = [f - s for f in cx.facets if s <= f]
+    if not rest:
         raise NotAFace(f"{sorted(s)} is not a face")
-    return SimplicialComplex(f - s for f in cx.facets if s <= f)
+    return SimplicialComplex(rest)
 
 
 def boundary_matrix(cx: SimplicialComplex, k: int) -> linalg.ExactMatrix:

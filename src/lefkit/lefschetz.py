@@ -327,65 +327,201 @@ def _failure_mode(dim_from, dim_to, rank):
     return "both"
 
 
+def twin_pairs(frame: ArtinianFrame) -> tuple:
+    """Disjoint swaps (u, v), u < v, of twin vertices of the frame.
+
+    Twins are vertices with equal links and equal caps; each swap is then
+    an automorphism of the frame (a face holding both would put v in lk v),
+    and disjoint swaps commute.  Vertices are grouped by (link facets,
+    cap), the link facets read in one pass as {f - {v} : v in f}, and
+    consecutive members of each group are paired.  Labels and ``meta`` are
+    never read.
+    """
+    links = {}
+    for f in frame.complex.facets:
+        for v in f:
+            links.setdefault(v, set()).add(f - {v})
+    groups = {}
+    for v, a in frame.caps:
+        groups.setdefault((frozenset(links[v]), a), []).append(v)
+    return tuple(sorted(p for g in groups.values() for p in zip(g[::2], g[1::2])))
+
+
+def _times_variable(exps, v):
+    """The sparse exponent pairs of x_v times the monomial exps."""
+    for i, (w, e) in enumerate(exps):
+        if w >= v:
+            if w == v:
+                return exps[:i] + ((v, e + 1),) + exps[i + 1:]
+            return exps[:i] + ((v, 1),) + exps[i:]
+    return exps + ((v, 1),)
+
+
+class IsotypicMaps:
+    """×L of a frame in the symmetry-adapted bases of its twin swaps.
+
+    The t twin swaps (``twin_pairs``) generate G = (Z/2)^t, and ×L
+    commutes with G, so over the rationals it splits into one block per
+    character S (a set of swaps, read as a bit mask; S acts by -1 on its
+    swaps).  The orbit of a standard monomial has one representative r
+    with e_a >= e_b on every pair (a, b); the pairs with e_a = e_b, its
+    balanced mask, fix it.  The signed orbit sum of r vanishes for the
+    characters that meet its balanced mask, and the others, over the
+    representatives in standard-monomial order, are the basis of block S.
+
+    In these bases each product x_v r adds 1 to the entry of its target's
+    representative q in block S.  Twins are never adjacent, so a standard
+    monomial has e_a = 0 or e_b = 0 on every pair, and its balanced pairs
+    are those with e_a = e_b = 0.  So x_v r can unbalance a pair of r but
+    never balance one: q's balanced mask lies in r's and misses S, and q
+    is in the basis of block S.  The general entry (-1)^|h & S|, h the
+    swaps taking q to x_v r, is +1 here, since h only holds pairs where r
+    is balanced.  Entries are 1, or 2 where x_a r and x_b r share an orbit.
+
+    ``matrix(k)`` lays the blocks from degree k along one diagonal, in
+    ascending S, so its rank is the sum of the block ranks, and the maps
+    of consecutive degrees compose block by block.  Without twins it is
+    ``multiplication_matrix(frame, L, k)``.  Only representatives and the
+    products of representatives are canonicalised, as exponent pairs; no
+    ``Monomial`` is built.
+    """
+
+    def __init__(self, frame: ArtinianFrame):
+        self.frame = frame
+        self.pairs = twin_pairs(frame)
+        cx = frame.complex
+        closed = {v: {v} for v in cx.vertices}
+        for f in cx.facets:
+            for v in f:
+                closed[v].update(f)
+        # x_v m can be standard only for v next to every vertex of m; the
+        # monomial 1 (key None) takes every vertex
+        self._candidates = {v: tuple(sorted(c)) for v, c in closed.items()}
+        self._candidates[None] = cx.vertices
+        self._next = {}  # the layout of degree k + 1, kept for the map from it
+
+    def _representative(self, exps):
+        """The orbit representative of a monomial's exponent pairs."""
+        e = dict(exps)
+        flipped = False
+        for a, b in self.pairs:
+            ea, eb = e.get(a, 0), e.get(b, 0)
+            if ea < eb:
+                e[a], e[b] = eb, ea
+                flipped = True
+        return tuple(sorted((v, x) for v, x in e.items() if x)) if flipped else exps
+
+    def layout(self, k: int) -> dict:
+        """Each character S mapped to its basis in degree k: the
+        representatives whose balanced mask misses S, each mapped to its
+        position along the diagonal (characters ascending)."""
+        bases = {}
+        for m in standard_monomials(self.frame.complex, k, self.frame.cap_map):
+            e = dict(m.exps) if self.pairs else None
+            free = 0  # the unbalanced pairs
+            for bit, (a, b) in enumerate(self.pairs):
+                ea, eb = e.get(a, 0), e.get(b, 0)
+                if ea < eb:
+                    break  # not a representative
+                if ea > eb:
+                    free |= 1 << bit
+            else:
+                # the characters trivial on the stabiliser: submasks of free
+                s = free
+                while True:
+                    bases.setdefault(s, []).append(m.exps)
+                    if not s:
+                        break
+                    s = (s - 1) & free
+        out = {}
+        start = 0
+        for s in sorted(bases):
+            out[s] = dict(zip(bases[s], range(start, start + len(bases[s]))))
+            start += len(bases[s])
+        return out
+
+    def matrix(self, k: int) -> linalg.ExactMatrix:
+        """×L from degree k to k + 1, block-diagonal by character."""
+        src = self._next.pop(k, None) or self.layout(k)
+        dst = self._next[k + 1] = self.layout(k + 1)
+        reps = dst.get(0, {})  # every representative lies in the trivial block
+        represent = self._representative if self.pairs else (lambda exps: exps)
+        candidates = self._candidates
+        products = {}
+        entries = {}
+        for s, cols in src.items():
+            rows = dst.get(s, {})
+            for r, j in cols.items():
+                targets = products.get(r)
+                if targets is None:
+                    targets = products[r] = [
+                        q for v in candidates[r[0][0] if r else None]
+                        if (q := represent(_times_variable(r, v))) in reps
+                    ]
+                for q in targets:
+                    i = rows[q]
+                    entries[i, j] = entries.get((i, j), 0) + 1
+        return linalg.ExactMatrix(
+            sum(map(len, dst.values())), sum(map(len, src.values())), entries
+        )
+
+
 def wlp_check(frame: ArtinianFrame) -> WlpReport:
     """Full-rank report for multiplication by the sum of the variables in
     every degree up to the socle degree.  For monomial algebras that
     single linear form decides the weak Lefschetz property.
 
-    The algebra is generated in degree 1, so once L A_k = A_{k+1} every
-    later map is onto as well (A_{k+2} = A_1 L A_k = L A_{k+1}); those
-    ranks are set to the target dimension without elimination.
+    Each rank is that of ×L in the symmetry-adapted bases of the frame's
+    twin swaps (``IsotypicMaps``): one elimination of the block-diagonal
+    matrix, so the sum of the block ranks.  The dimensions come from
+    ``hilbert_function``.  The algebra is generated in degree 1, so once
+    L A_k = A_{k+1} every later map is onto as well (A_{k+2} = A_1 L A_k =
+    L A_{k+1}); those ranks are set to the target dimension without
+    elimination.
     """
-    L = frame.linear_form()
+    maps = IsotypicMaps(frame)
     socle = frame.socle_degree()
     per = []
     onto = False
     for k in range(socle):
         a = hilbert_function(frame, k)
         b = hilbert_function(frame, k + 1)
-        r = b if onto else linalg.rank(multiplication_matrix(frame, L, k))
+        r = b if onto else linalg.rank(maps.matrix(k))
         onto = r == b
         full = r == min(a, b)
         per.append(PerDegree(k, a, b, r, full, "none" if full else _failure_mode(a, b, r)))
     return WlpReport(all(p.full_rank for p in per), socle, tuple(per))
 
 
-def _power_maps(frame: ArtinianFrame):
-    """(i, j, matrix of ×L^j from degree i) for every i + j up to the
-    socle degree, i ascending, then j.  Each ×L map M_k is built once, and
-    ×L^j from degree i is M_{i+j-1} times ×L^{j-1} from degree i: the
-    matrix ``multiplication_matrix`` gives for the expanded L^j."""
-    L = frame.linear_form()
-    socle = frame.socle_degree()
-    steps = [multiplication_matrix(frame, L, k) for k in range(socle)]
-    for i in range(socle):
-        power = steps[i]
-        yield i, 1, power
-        for j in range(2, socle - i + 1):
-            power = steps[i + j - 1] @ power
-            yield i, j, power
-
-
 def slp_check(frame: ArtinianFrame) -> SlpReport:
     """Full-rank report for all powers of the linear form: the rank of
     ×L^j from degree i to i + j for every pair, in order of j, then i.
 
-    The ×L^j matrices are composed from the ×L maps (``_power_maps``).
-    As in ``wlp_check``, once L^j A_i = A_{i+j} the maps from later
-    degrees are onto too (A_{i+1+j} = A_1 L^j A_i = L^j A_{i+1}), so
-    their ranks are not computed; their products still are, since the
-    next power is composed from them.
+    Each ×L map M_k is built once, block-diagonal in the symmetry-adapted
+    bases (``IsotypicMaps``), and ×L^j from degree i is M_{i+j-1} times
+    ×L^{j-1} from degree i: the blocks compose within each character, and
+    one elimination of the product sums their ranks.  As in
+    ``wlp_check``, once L^j A_i = A_{i+j} the maps from later degrees are
+    onto too (A_{i+1+j} = A_1 L^j A_i = L^j A_{i+1}), so their ranks are
+    not computed; their products still are, since the next power is
+    composed from them.
     """
+    maps = IsotypicMaps(frame)
     socle = frame.socle_degree()
     dims = [hilbert_function(frame, k) for k in range(socle + 1)]
+    steps = [maps.matrix(k) for k in range(socle)]
     onto = set()  # powers j onto from some lower degree
     per = []
-    for i, j, power in _power_maps(frame):
-        a, b = dims[i], dims[i + j]
-        r = b if j in onto else linalg.rank(power)
-        if r == b:
-            onto.add(j)
-        per.append((j, i, a, b, r, r == min(a, b)))
+    for i in range(socle):
+        power = steps[i]
+        for j in range(1, socle - i + 1):
+            if j > 1:
+                power = steps[i + j - 1] @ power
+            a, b = dims[i], dims[i + j]
+            r = b if j in onto else linalg.rank(power)
+            if r == b:
+                onto.add(j)
+            per.append((j, i, a, b, r, r == min(a, b)))
     per.sort()
     return SlpReport(all(p[5] for p in per), socle, tuple(per))
 

@@ -63,17 +63,22 @@ class Monomial:
     def support(self) -> frozenset:
         return frozenset(v for v, _ in self.exps)
 
+    @classmethod
+    def _trusted(cls, items: tuple, degree: int) -> "Monomial":
+        """A monomial from sorted positive exponent pairs of the given
+        degree, skipping the constructor's checks."""
+        m = object.__new__(cls)
+        m.exps = items
+        m.degree = degree
+        m._hash = hash(items)
+        return m
+
     def times(self, other: "Monomial") -> "Monomial":
         # a product of valid monomials is valid: sort the summed exponents
-        # and skip the constructor's checks
         d = dict(self.exps)
         for v, e in other.exps:
             d[v] = d.get(v, 0) + e
-        m = object.__new__(Monomial)
-        m.exps = items = tuple(sorted(d.items()))
-        m.degree = self.degree + other.degree
-        m._hash = hash(items)
-        return m
+        return Monomial._trusted(tuple(sorted(d.items())), self.degree + other.degree)
 
     def divides(self, other: "Monomial") -> bool:
         o = dict(other.exps)
@@ -360,11 +365,16 @@ class IdealPresentation:
 
 
 def stanley_reisner_generators(cx: SimplicialComplex) -> IdealPresentation:
-    """Squarefree monomials of the minimal non-faces."""
+    """Squarefree monomials of the minimal non-faces.
+
+    Every proper subset of a minimal non-face is a face, so dropping any
+    one of its vertices leaves a face of at most dim + 1 vertices: a
+    minimal non-face has at most dim + 2 vertices, and larger sizes are
+    not tried.
+    """
     all_faces = set(cx.all_faces())
     minimal = []
-    n = len(cx.vertices)
-    for size in range(1, n + 1):
+    for size in range(1, min(len(cx.vertices), cx.dim + 2) + 1):
         for combo in combinations(cx.vertices, size):
             s = frozenset(combo)
             if s in all_faces:
@@ -447,7 +457,10 @@ def face_monomials(cx: SimplicialComplex, k: int, caps: Optional[dict] = None):
     itself (no cap).  Output is in
     graded-lex ascending order (``Monomial.order_key``).
     """
-    out = [Monomial(tuple(zip(vs, combo))) for vs, combo in _face_compositions(cx, k, caps)]
+    out = [
+        Monomial._trusted(tuple(zip(vs, combo)), k)
+        for vs, combo in _face_compositions(cx, k, caps)
+    ]
     out.sort(key=Monomial.order_key)
     return out
 

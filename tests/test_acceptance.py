@@ -390,3 +390,27 @@ def test_slp_ball10_caps3(cx):
     ]
     ok &= len(rep.per_pair) == 55 and not rep.holds
     report("SLP (BALL10 caps 3)", elapsed, 5, ok)
+
+
+def test_wlp_cross5_caps5(cx):
+    # the 7760x7232 map at degree 10 is the largest; the twin swaps split
+    # every map into 32 blocks
+    from itertools import product
+
+    from lefkit.monomials import _standard_monomials
+
+    cross5 = from_facets([set(c) for c in product(*[(2 * i + 1, 2 * i + 2) for i in range(5)])])
+    t0 = time.perf_counter()
+    rep = wlp_check(ArtinianFrame(cross5, 5))
+    elapsed = time.perf_counter() - t0
+    # its 59049 cached basis monomials would slow every later full garbage
+    # collection, and with it the timing gates of later tests
+    _standard_monomials.cache_clear()
+    # the per-degree ranks, as direct elimination of each ×L map gave them
+    ok = [p.rank for p in rep.per_degree] == [
+        1, 10, 50, 170, 450, 992, 1880, 3120, 4600, 6080,
+        7216, 7445, 6560, 5120, 3552, 2160, 1120, 480, 160, 32,
+    ]
+    ok &= (rep.per_degree[10].dim_from, rep.per_degree[10].dim_to) == (7232, 7760)
+    ok &= [p.k for p in rep.failures()] == [10, 11] and not rep.holds
+    report("WLP (5-cross-polytope caps 5)", elapsed, 5, ok)

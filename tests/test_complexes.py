@@ -157,6 +157,30 @@ class TestLink:
             assert link(oct_, sigma).dim <= oct_.dim - len(sigma)
 
 
+def reference_link(cx, sigma):
+    """``link`` scanning the facets twice: a face test, then the filter."""
+    s = frozenset(sigma)
+    if not cx.has_face(s):
+        raise NotAFace(f"{sorted(s)} is not a face")
+    return SimplicialComplex(f - s for f in cx.facets if s <= f)
+
+
+class TestLinkOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(1, 7), min_size=1, max_size=4),
+                    min_size=1, max_size=6))
+    @example([{1}, {2, 3}])
+    def test_every_face_and_a_non_face(self, facets):
+        complex_ = from_facets(facets)
+        for sigma in complex_.all_faces():
+            assert link(complex_, sigma) == reference_link(complex_, sigma)
+        non_face = frozenset(complex_.vertices) | {99}
+        with pytest.raises(NotAFace):
+            reference_link(complex_, non_face)
+        with pytest.raises(NotAFace):
+            link(complex_, non_face)
+
+
 class TestHomology:
     def test_oct_is_2_sphere(self, cx):
         rep = homology(cx("OCT"))

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,7 +24,6 @@ from lefkit.errors import (
 from lefkit.lefschetz import (
     SlpReport,
     SopCandidate,
-    _power_maps,
     colored_dual_generator,
     colored_sop,
     divergence_bound_check,
@@ -38,6 +38,8 @@ from lefkit.lefschetz import (
     verify_unexpected,
     wlp_check,
 )
+from lefkit.lefschetz import IsotypicMaps, twin_pairs
+from lefkit.monomials import _standard_monomials
 from lefkit.monomials import (
     ArtinianFrame,
     Monomial,
@@ -440,6 +442,22 @@ class TestSlp:
         assert not slp_check(ArtinianFrame(cx("OCT"), 2)).holds
 
 
+def _power_maps(frame: ArtinianFrame):
+    """(i, j, matrix of ×L^j from degree i) for every i + j up to the
+    socle degree, i ascending, then j.  Each ×L map M_k is built once, and
+    ×L^j from degree i is M_{i+j-1} times ×L^{j-1} from degree i: the
+    matrix ``multiplication_matrix`` gives for the expanded L^j."""
+    L = frame.linear_form()
+    socle = frame.socle_degree()
+    steps = [multiplication_matrix(frame, L, k) for k in range(socle)]
+    for i in range(socle):
+        power = steps[i]
+        yield i, 1, power
+        for j in range(2, socle - i + 1):
+            power = steps[i + j - 1] @ power
+            yield i, j, power
+
+
 def expanded_power_maps(frame):
     """``_power_maps`` built the old way: L^j expanded as a polynomial and
     its matrix built from the monomial products."""
@@ -787,3 +805,223 @@ class TestCappedNonCohenMacaulayQuotient:
         complex_, extra = self.capped_triangle_and_edge()
         with pytest.raises(HypothesisError):
             inverse_system_piece(complex_, extra[1:], 1)
+
+
+# --- ×L in the symmetry-adapted bases of twin swaps ----------------------------
+
+
+def split_blocks(maps, k):
+    """The blocks of ``maps.matrix(k)``, as (character, matrix) pairs,
+    after checking that every entry lies in one of them."""
+    whole = maps.matrix(k)
+    src, dst = maps.layout(k), maps.layout(k + 1)
+    out = []
+    row = col = 0
+    for s in sorted(src.keys() | dst.keys()):
+        a, b = len(src.get(s, ())), len(dst.get(s, ()))
+        entries = {(i - row, j - col): v for (i, j), v in whole.entries.items()
+                   if row <= i < row + b and col <= j < col + a}
+        out.append((s, linalg.ExactMatrix(b, a, entries)))
+        row, col = row + b, col + a
+    assert (row, col) == (whole.rows, whole.cols)
+    assert sum(block.nnz() for _, block in out) == whole.nnz()
+    return out
+
+
+def check_blocks(frame):
+    """Block dimensions against the Hilbert function and block ranks
+    against direct elimination, in every degree below the socle; without
+    twins the one block is the direct matrix."""
+    maps = IsotypicMaps(frame)
+    L = frame.linear_form()
+    for k in range(frame.socle_degree()):
+        blocks = split_blocks(maps, k)
+        direct = multiplication_matrix(frame, L, k)
+        assert sum(b.cols for _, b in blocks) == hilbert_function(frame, k), (frame, k)
+        assert sum(b.rows for _, b in blocks) == hilbert_function(frame, k + 1), (frame, k)
+        if not maps.pairs:
+            assert [s for s, _ in blocks] == [0] and blocks[0][1] == direct, (frame, k)
+            continue
+        assert sum(linalg.rank(b) for _, b in blocks) == linalg.rank(direct), (frame, k)
+
+
+def cross_polytope(d):
+    return from_facets([set(c) for c in product(*[(2 * i + 1, 2 * i + 2) for i in range(d)])])
+
+
+K33 = from_facets([{a, b} for a in (1, 2, 3) for b in (4, 5, 6)])
+
+
+@st.composite
+def planted_twins(draw):
+    """A random complex on 1..n with twins planted: its suspension (the
+    join with two points), isolated points, or both."""
+    n = draw(st.integers(1, 5))
+    facet = st.frozensets(st.integers(1, n), min_size=1, max_size=3)
+    base = draw(st.lists(facet, min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["suspension", "isolated", "both"]))
+    facets = list(base)
+    if kind != "isolated":
+        facets = [f | {n + 1} for f in base] + [f | {n + 2} for f in base]
+    if kind != "suspension":
+        facets += [{n + 3}, {n + 4}, {n + 5}]
+    complex_ = from_facets(facets)
+    caps = draw(st.integers(2, 3) if complex_.dim <= 2 else st.just(2))
+    return ArtinianFrame(complex_, caps)
+
+
+class TestTwinPairs:
+    def test_cross_polytope_pairs_every_antipode(self):
+        frame = ArtinianFrame(cross_polytope(5), 3)
+        assert twin_pairs(frame) == ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10))
+
+    def test_found_after_relabelling(self):
+        rng = random.Random(5)
+        ids = rng.sample(range(100), 10)
+        relabel = dict(zip(range(1, 11), ids))
+        frame = ArtinianFrame(
+            from_facets([{relabel[v] for v in f} for f in cross_polytope(5).facets]), 4)
+        pairs = twin_pairs(frame)
+        assert len(pairs) == 5
+        assert set(pairs) == {tuple(sorted((relabel[2 * i + 1], relabel[2 * i + 2])))
+                              for i in range(5)}
+
+    def test_k33_pairs_one_per_side(self):
+        # twin classes {1, 2, 3} and {4, 5, 6}: consecutive members pair up
+        assert twin_pairs(ArtinianFrame(K33, 2)) == ((1, 2), (4, 5))
+
+    def test_caps_that_differ_split_a_pair(self, cx):
+        frame = ArtinianFrame(cx("OCT"), [2, 3, 2, 2, 2, 2])
+        assert twin_pairs(frame) == ((3, 4), (5, 6))
+        assert twin_pairs(ArtinianFrame(cx("OCT"), 2)) == ((1, 2), (3, 4), (5, 6))
+
+    def test_isolated_points_and_suspension_points(self):
+        frame = ArtinianFrame(from_facets([{1, 3}, {2, 3}, {4}, {5}]), 2)
+        assert twin_pairs(frame) == ((1, 2), (4, 5))
+
+    @pytest.mark.parametrize("name", ["FAN4", "DUNCE", "BALL10", "C3", "EDGE"])
+    def test_fixtures_without_twins(self, cx, name):
+        assert twin_pairs(ArtinianFrame(cx(name), 2)) == ()
+
+
+class TestIsotypicBlocks:
+    """Symmetry-adapted ×L blocks against the direct ×L maps."""
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_fixtures_caps_2_to_5(self, cx, name):
+        for caps in (2, 3, 4, 5):
+            check_blocks(ArtinianFrame(cx(name), caps))
+
+    @pytest.mark.parametrize("d, caps", [(4, 3), (4, 4), (5, 3), (5, 4)])
+    def test_cross_polytopes(self, d, caps):
+        check_blocks(ArtinianFrame(cross_polytope(d), caps))
+        # the cached bases of XPOLY5 would slow every later full garbage
+        # collection, and with it the timing gates of later tests
+        _standard_monomials.cache_clear()
+
+    def test_random_graphs(self):
+        for frame in random_graph_frames(3141, (2, 3, 4)):
+            check_blocks(frame)
+
+    @pytest.mark.parametrize("caps", [2, 3, 4])
+    def test_k33(self, caps):
+        check_blocks(ArtinianFrame(K33, caps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_twins())
+    @example(ArtinianFrame(from_facets([{1, 3}, {2, 3}]), 3))
+    @example(ArtinianFrame(from_facets([{1}, {2}, {3}]), 3))
+    def test_planted_twins(self, frame):
+        assert twin_pairs(frame)
+        check_blocks(frame)
+
+    @pytest.mark.parametrize("caps", [[2, 3, 2, 2, 2, 2], [3, 3, 2, 3, 4, 4], [4, 3, 3, 3, 2, 2]])
+    def test_positional_caps_differing_on_a_pair(self, cx, caps):
+        check_blocks(ArtinianFrame(cx("OCT"), caps))
+
+    def test_suspension_with_caps_differing_on_the_suspension_points(self, cx):
+        cone = from_facets([f | {7} for f in cx("C4").facets] + [f | {8} for f in cx("C4").facets])
+        frame = ArtinianFrame(cone, {1: 2, 2: 2, 3: 2, 4: 2, 7: 2, 8: 3})
+        assert twin_pairs(frame) == ((1, 3), (2, 4))
+        check_blocks(frame)
+
+    def test_wlp_of_relabelled_complex(self, cx):
+        rng = random.Random(11)
+        for name in ("OCT", "CROSS4", "C4"):
+            complex_ = cx(name)
+            ids = rng.sample(range(200), len(complex_.vertices))
+            relabel = dict(zip(complex_.vertices, ids))
+            moved = from_facets([{relabel[v] for v in f} for f in complex_.facets])
+            for caps in (2, 3):
+                assert wlp_check(ArtinianFrame(moved, caps)) == wlp_check(
+                    ArtinianFrame(complex_, caps)), (name, caps)
+
+    def test_slp_reports_match_reference(self, cx):
+        # TestSlp covers OCT at caps 2, C4, PATH3 at caps 4 and CROSS4
+        frames = [ArtinianFrame(cx("OCT"), 3), ArtinianFrame(cx("PATH3"), 3),
+                  ArtinianFrame(K33, 2), ArtinianFrame(K33, 3),
+                  ArtinianFrame(cx("OCT"), [2, 3, 2, 2, 3, 3])]
+        for frame in frames:
+            assert IsotypicMaps(frame).pairs
+            assert slp_check(frame) == slp_reference(frame), frame
+
+    @settings(max_examples=25, deadline=None)
+    @given(planted_twins())
+    def test_slp_reports_match_reference_with_planted_twins(self, frame):
+        assert slp_check(frame) == slp_reference(frame)
+
+
+def orbit_sums(maps, k):
+    """The symmetry-adapted basis of degree k as explicit columns over the
+    standard monomials: for the representative r at each position of block
+    S, the signed orbit sum over all of G, each swap set h weighted by
+    (-1)^|h & S|."""
+    monos = standard_basis(maps.frame, k)
+    index = {m.exps: i for i, m in enumerate(monos)}
+    entries = {}
+    for s, basis in maps.layout(k).items():
+        for r, col in basis.items():
+            for g in range(1 << len(maps.pairs)):
+                e = dict(r)
+                for bit, (a, b) in enumerate(maps.pairs):
+                    if g >> bit & 1:
+                        e[a], e[b] = e.get(b, 0), e.get(a, 0)
+                i = index[tuple(sorted((v, x) for v, x in e.items() if x))]
+                sign = -1 if bin(g & s).count("1") % 2 else 1
+                entries[i, col] = entries.get((i, col), 0) + sign
+    return linalg.ExactMatrix(len(monos), len(monos), entries)
+
+
+def check_change_of_basis(frame):
+    """×L times the orbit sums of degree k equals the orbit sums of degree
+    k + 1 times the block-diagonal matrix, and the orbit sums are bases."""
+    maps = IsotypicMaps(frame)
+    L = frame.linear_form()
+    for k in range(frame.socle_degree() + 1):
+        sums = orbit_sums(maps, k)
+        assert linalg.rank(sums) == sums.rows, (frame, k)
+        if k < frame.socle_degree():
+            blocks = maps.matrix(k)
+            assert set(blocks.entries.values()) <= {1, 2}, (frame, k)
+            direct = multiplication_matrix(frame, L, k)
+            assert direct @ sums == orbit_sums(maps, k + 1) @ blocks, (frame, k)
+
+
+class TestSymmetryAdaptedBasis:
+    """The blocks are ×L written in explicit signed orbit sums."""
+
+    @pytest.mark.parametrize("name, caps", [
+        ("OCT", 2), ("OCT", 3), ("C4", 2), ("C4", 3), ("PATH3", 3), ("CROSS4", 2),
+        ("OCT", [2, 3, 2, 2, 3, 3]), ("FAN4", 2),
+    ])
+    def test_fixtures(self, cx, name, caps):
+        check_change_of_basis(ArtinianFrame(cx(name), caps))
+
+    @pytest.mark.parametrize("caps", [2, 3])
+    def test_k33(self, caps):
+        check_change_of_basis(ArtinianFrame(K33, caps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(planted_twins())
+    def test_planted_twins(self, frame):
+        check_change_of_basis(frame)

@@ -1,6 +1,8 @@
 """Polynomials, contraction, ideals, artinian frames and log matrices."""
 
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -189,6 +191,57 @@ class TestIdeals:
 
     def test_edge(self, cx):
         assert [str(g) for g in facet_ideal(cx("EDGE")).generators] == ["x1*x2"]
+
+
+def reference_stanley_reisner(cx):
+    """``stanley_reisner_generators`` trying every subset size up to the
+    vertex count."""
+    all_faces = set(cx.all_faces())
+    minimal = []
+    for size in range(1, len(cx.vertices) + 1):
+        for combo in combinations(cx.vertices, size):
+            s = frozenset(combo)
+            if s in all_faces:
+                continue
+            if any(frozenset(sub) not in all_faces for sub in combinations(combo, size - 1)):
+                continue
+            minimal.append(s)
+    return [Polynomial.from_monomial(Monomial({v: 1 for v in s}))
+            for s in sorted(minimal, key=sorted)]
+
+
+@st.composite
+def small_complexes(draw):
+    """Non-pure complexes over at most 8 vertices, isolated points and
+    facets up to a tetrahedron included."""
+    n = draw(st.integers(1, 8))
+    facet = st.frozensets(st.integers(1, n), min_size=1, max_size=4)
+    return from_facets(draw(st.lists(facet, min_size=1, max_size=6)))
+
+
+class TestStanleyReisnerSizes:
+    """Minimal non-faces have at most dim + 2 vertices."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_complexes())
+    @example(from_facets([{1}, {2}, {3}]))
+    @example(from_facets([{1, 2}, {2, 3}, {1, 3}]))
+    def test_matches_all_sizes(self, complex_):
+        gens = stanley_reisner_generators(complex_).generators
+        assert list(gens) == reference_stanley_reisner(complex_)
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_fixtures_match_all_sizes(self, cx, name):
+        gens = stanley_reisner_generators(cx(name)).generators
+        assert list(gens) == reference_stanley_reisner(cx(name))
+
+    def test_thirty_cycle_is_fast(self):
+        cycle = from_facets([{i, i % 30 + 1} for i in range(1, 31)])
+        start = time.perf_counter()
+        gens = stanley_reisner_generators(cycle).generators
+        assert time.perf_counter() - start < 1.0
+        # C(30, 2) pairs, less the 30 edges
+        assert len(gens) == 435 - 30
 
 
 class TestStandardBasis:

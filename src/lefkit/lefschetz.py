@@ -14,6 +14,7 @@ vanishing degree by that frame's socle degree + 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -207,7 +208,7 @@ def _hilbert(cx, extra: tuple, k: int) -> int:
             for j, c in products:
                 entries[i, j] = c
             i += 1
-    span = linalg.ExactMatrix(i, len(cols), entries)
+    span = linalg.ExactMatrix._trusted(i, len(cols), entries)
     return len(cols) - (linalg.rank(span) if span.entries else 0)
 
 
@@ -274,7 +275,12 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     plus extra forms, as a kernel over face-supported monomials.
 
     The contraction matrix is built here, not from span rows, so Macaulay
-    duality stays an independent check of the quotient dimensions.
+    duality stays an independent check of the quotient dimensions.  Its
+    columns are the standard monomials b of degree k, and each span form g
+    has one row per quotient q = b / t (``Monomial.over``) over its terms
+    t, in order of first appearance; entry (g, q), b is g's coefficient of
+    t, read into ``linalg``'s normal form once per form.  A form given
+    more than once adds its coefficients once per copy.
     """
     extra = tuple(extra)
     if _first_vanishing(cx, extra)[0] is None:
@@ -282,15 +288,18 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     _, _, cols, others = _graded_basis(cx, extra, k)
     row_index = {}
     entries = {}
-    for g in others:
+    for n, (g, copies) in enumerate(Counter(others).items()):
+        terms = [(t, linalg._exact(c * copies)) for t, c in g.terms.items()]
         for j, b in enumerate(cols):
-            for ma, ca in g.terms.items():
-                if ma.divides(b):
-                    i = row_index.setdefault((g, b.divide(ma)), len(row_index))
-                    entries[i, j] = entries.get((i, j), 0) + ca
-    kb = linalg.kernel_basis(linalg.ExactMatrix(len(row_index), len(cols), entries))
+            for t, c in terms:
+                q = b.over(t)
+                if q is not None:
+                    # distinct terms of one form give distinct quotients
+                    entries[row_index.setdefault((n, q), len(row_index)), j] = c
+    mat = linalg.ExactMatrix._trusted(len(row_index), len(cols), entries)
     basis = tuple(
-        Polynomial({cols[j]: c for j, c in enumerate(vec) if c}) for vec in kb.vectors
+        Polynomial({cols[j]: c for j, c in enumerate(vec) if c})
+        for vec in linalg.kernel_basis(mat).vectors
     )
     return InverseSystemPiece(k, basis)
 
@@ -461,7 +470,7 @@ class IsotypicMaps:
                 for q in targets:
                     i = rows[q]
                     entries[i, j] = entries.get((i, j), 0) + 1
-        return linalg.ExactMatrix(
+        return linalg.ExactMatrix._trusted(
             sum(map(len, dst.values())), sum(map(len, src.values())), entries
         )
 

@@ -62,6 +62,17 @@ class ExactMatrix:
         self.entries = cleaned
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":
+        """A matrix over entries the library built itself, already nonzero,
+        inside the shape and in the normal form of ``_exact``, skipping the
+        constructor's checks."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def from_dense(cls, data: Sequence[Sequence]) -> "ExactMatrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
@@ -87,7 +98,7 @@ class ExactMatrix:
         return self.entries.get((i, j), 0)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
+        return ExactMatrix._trusted(
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
@@ -294,24 +305,42 @@ def kernel_basis(matrix: ExactMatrix) -> KernelBasis:
     Each basis vector corresponds to one free column (set to 1, other
     free columns 0) and is normalised to a primitive integer vector whose
     first nonzero entry is positive.  Vectors are ordered by free column.
+
+    All free columns are solved in one pass.  The row of pivot t holds,
+    besides its pivot column, only free columns and columns pivoted after
+    t, so going latest first, each pivot row is cleared of the later pivot
+    columns by the rows already reduced (over the lcm of the multipliers
+    it needs, then divided by its gcd).  A reduced row p * x_c + sum of
+    a_f * x_f = 0 then gives x_c = -a_f / p in the vector of free column
+    f, which is scaled to integers over the lcm of its denominators.
     """
     pivots, rows = _eliminate(_integer_rows(matrix))
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [j for j in range(matrix.cols) if j not in pivot_cols]
+    reduced = {}  # pivot column -> (pivot entry, entries on free columns)
+    for r, c in reversed(pivots):
+        row = rows[r]
+        later = [(u, v) for u, v in row.items() if u in reduced]
+        if later:
+            d = math.lcm(*(reduced[u][0] // math.gcd(reduced[u][0], v) for u, v in later))
+            acc = {j: v * d for j, v in row.items() if j not in reduced}
+            for u, v in later:
+                p, free = reduced[u]
+                k = v * d // p
+                for j, x in free.items():
+                    acc[j] = acc.get(j, 0) - k * x
+            row = _normalize_row({j: x for j, x in acc.items() if x})
+        p = row.pop(c)
+        reduced[c] = (p, row)
+    solved = {j: [] for j in range(matrix.cols) if j not in reduced}
+    for c, (p, free) in reduced.items():
+        for f, x in free.items():
+            solved[f].append((c, x, p))
     vectors = []
-    for f in free_cols:
-        # solve p * x_c + s = 0 in integers: scale x by p / g, x_c = -s / g
-        x = {f: 1}
-        for r, c in reversed(pivots):
-            row = rows[r]
-            s = sum(v * x[j] for j, v in row.items() if j != c and j in x)
-            if s:
-                g = math.gcd(s, row[c])
-                scale = row[c] // g
-                if scale != 1:
-                    x = {j: v * scale for j, v in x.items()}
-                x[c] = -s // g
-        vec = [x.get(j, 0) for j in range(matrix.cols)]
+    for f, terms in solved.items():
+        scale = math.lcm(*(p // math.gcd(x, p) for _, x, p in terms))
+        vec = [0] * matrix.cols
+        vec[f] = scale
+        for c, x, p in terms:
+            vec[c] = -x * scale // p
         g = math.gcd(*vec)
         if next(v for v in vec if v) < 0:
             g = -g

@@ -12,6 +12,7 @@ generators.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,18 +81,36 @@ class Monomial:
             d[v] = d.get(v, 0) + e
         return Monomial._trusted(tuple(sorted(d.items())), self.degree + other.degree)
 
-    def divides(self, other: "Monomial") -> bool:
-        o = dict(other.exps)
-        return all(o.get(v, 0) >= e for v, e in self.exps)
+    def over(self, other: "Monomial") -> Optional["Monomial"]:
+        """self / other, or None when other does not divide self.
 
-    def divide(self, other: "Monomial") -> "Monomial":
-        """self / other; other must divide self."""
-        d = dict(self.exps)
+        One walk over the two sorted exponent tuples: the pairs of self
+        before each variable of other are copied, that variable's exponent
+        is reduced (and dropped at zero), and a variable of other that self
+        lacks, or holds with a smaller exponent, ends the walk with None.
+        """
+        if other.degree > self.degree:
+            return None
+        out = []
+        rest = iter(self.exps)
         for v, e in other.exps:
-            if d.get(v, 0) < e:
-                raise ValueError("not divisible")
-            d[v] -= e
-        return Monomial(d)
+            for w, f in rest:
+                if w == v:
+                    break
+                if w > v:
+                    return None
+                out.append((w, f))
+            else:
+                return None
+            if f < e:
+                return None
+            if f > e:
+                out.append((v, f - e))
+        out.extend(rest)
+        return Monomial._trusted(tuple(out), self.degree - other.degree)
+
+    def divides(self, other: "Monomial") -> bool:
+        return other.over(self) is not None
 
     def order_key(self) -> tuple:
         """Graded-lex key: degree, then the exponent vector over ascending
@@ -284,35 +303,53 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(terms)
 
 
+def _integral(p: Polynomial):
+    """p's terms as (monomial, integer) pairs over the lcm of its
+    coefficients' denominators, and that lcm."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()], den
+
+
 def contract(g: Polynomial, F: Polynomial) -> Polynomial:
     """Contraction action of g on F, extended bilinearly.
 
     On monomials, x^a acts on y^b by dropping to y^(b-a) when a <= b
-    entrywise and by zero otherwise.
+    entrywise and by zero otherwise (``Monomial.over``).  The coefficients
+    of g and of F are scaled to integers once, over their denominators'
+    lcms; the products are summed as integers and divided by the product
+    of the two lcms only when the output terms are built.
     """
+    gs, gd = _integral(g)
+    fs, fd = _integral(F)
     out = {}
-    for ma, ca in g.terms.items():
-        for mb, cb in F.terms.items():
-            if ma.divides(mb):
-                m = mb.divide(ma)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-    return Polynomial(out)
+    for ma, ca in gs:
+        for mb, cb in fs:
+            m = mb.over(ma)
+            if m is not None:
+                out[m] = out.get(m, 0) + ca * cb
+    den = gd * fd
+    return Polynomial({m: Fraction(c, den) for m, c in out.items() if c})
+
+
+def _factorials(m: Monomial) -> int:
+    """The product of the factorials of m's exponents."""
+    out = 1
+    for _, e in m.exps:
+        out *= math.factorial(e)
+    return out
 
 
 def differentiate(g: Polynomial, F: Polynomial) -> Polynomial:
-    """Partial-derivative action of g on F (characteristic zero)."""
-    out = {}
-    for ma, ca in g.terms.items():
-        for mb, cb in F.terms.items():
-            if ma.divides(mb):
-                scale = 1
-                for v, e in ma.exps:
-                    b = mb.exponent(v)
-                    for t in range(e):
-                        scale *= b - t
-                m = mb.divide(ma)
-                out[m] = out.get(m, Fraction(0)) + ca * cb * scale
-    return Polynomial(out)
+    """Partial-derivative action of g on F (characteristic zero).
+
+    x^a takes y^b to the falling factorial b!/(b-a)! times y^(b-a), so
+    differentiation is contraction conjugated by divided powers: scale
+    each term of F by b!, contract, and divide each output term by its
+    own factorials (``divided_power_rescale``).  The factorials are read
+    once per term, never per pair of terms.
+    """
+    raised = Polynomial({m: c * _factorials(m) for m, c in F.terms.items()})
+    return divided_power_rescale(contract(g, raised))
 
 
 def sum_of_variables(var_ids) -> Polynomial:
@@ -326,14 +363,7 @@ def divided_power_rescale(F: Polynomial) -> Polynomial:
     the rescaled polynomial has zero divergence exactly when the sum of
     variables contracts the original to zero.
     """
-    out = {}
-    for m, c in F.terms.items():
-        den = 1
-        for _, e in m.exps:
-            for t in range(2, e + 1):
-                den *= t
-        out[m] = c / den
-    return Polynomial(out)
+    return Polynomial({m: c / _factorials(m) for m, c in F.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -485,9 +515,10 @@ def _standard_monomials(cx, k, caps: tuple, filters: tuple) -> tuple:
 
 def _products(sources, f: Polynomial, index: dict):
     """Per source monomial m, the (index[m*t], coefficient) pairs over the
-    terms t of f; distinct terms give distinct products, and products
-    missing from index are zero in the quotient."""
-    terms = tuple(f.terms.items())
+    terms t of f, each coefficient in ``linalg``'s normal form; distinct
+    terms give distinct products, and products missing from index are
+    zero in the quotient."""
+    terms = tuple((t, linalg._exact(c)) for t, c in f.terms.items())
     for m in sources:
         yield [(i, c) for t, c in terms if (i := index.get(m.times(t))) is not None]
 
@@ -537,7 +568,7 @@ def multiplication_matrix(frame: ArtinianFrame, f: Polynomial, k: int) -> linalg
     for j, products in enumerate(_products(cols, f, index)):
         for i, c in products:
             entries[i, j] = c
-    return linalg.ExactMatrix(len(rows), len(cols), entries)
+    return linalg.ExactMatrix._trusted(len(rows), len(cols), entries)
 
 
 @dataclass(frozen=True)

@@ -807,6 +807,127 @@ class TestCappedNonCohenMacaulayQuotient:
             inverse_system_piece(complex_, extra[1:], 1)
 
 
+def assert_normal_form(m):
+    """m equals what the validating constructor makes of its entries, and
+    every entry is nonzero, inside the shape and an int when integral."""
+    assert linalg.ExactMatrix(m.rows, m.cols, m.entries) == m
+    for (i, j), v in m.entries.items():
+        assert 0 <= i < m.rows and 0 <= j < m.cols
+        assert (type(v) is int and v) or (type(v) is Fraction and v.denominator != 1)
+
+
+def random_pure_power_form(rng, vertices, degree):
+    while True:
+        form = Polynomial({Monomial({v: degree}): Fraction(rng.randint(0, 6), rng.randint(1, 3))
+                           for v in vertices})
+        if not form.is_zero():
+            return form
+
+
+def inverse_system_cases(cx):
+    """(complex, extra forms, degrees): the sops of the inverse-system
+    tests, a sop with one form given twice, and seeded random sops with
+    non-integral coefficients, a quadratic form in every other one on OCT."""
+    oct_ = cx("OCT")
+    tri = from_facets([{1, 2}, {2, 3}, {1, 3}, {4, 5}])
+    colored = list(colored_sop(oct_, balanced_coloring(oct_)).theta)
+    cases = [
+        (oct_, colored, range(5)),
+        (oct_, colored + colored[:1], range(5)),
+        (oct_, list(universal_sop(6, 3).theta), range(8)),
+        (from_facets([{1, 2}]), [P("x1^2"), P("x2^2")], range(4)),
+        (tri, [P("x1 + 2 x2 + 3 x3 + x4"), P("x1 + x2 + x3 + x5")], range(5)),
+        (tri, ArtinianFrame(tri, 2).power_generators() + [P("x1^2 + x5^2")], range(5)),
+    ]
+    rng = random.Random(20260809)
+    for name in ("OCT", "C4", "CROSS4"):
+        complex_ = cx(name)
+        for n in range(4):
+            while True:
+                forms = [random_pure_power_form(rng, complex_.vertices, 1)
+                         for _ in range(complex_.dim + 1)]
+                if name == "OCT" and n % 2:
+                    forms[-1] = random_pure_power_form(rng, complex_.vertices, 2)
+                check = is_sop(complex_, SopCandidate.make(forms))
+                if check.is_sop:
+                    cases.append((complex_, forms, range(check.vanishing_degree + 1)))
+                    break
+    return cases
+
+
+def contraction_matrix_reference(complex_, extra, k):
+    """The standard monomials and the contraction matrix of
+    ``inverse_system_piece`` as the pairwise loop built them: division
+    through a dict of exponents, entries summed as ``Fraction`` and
+    checked by the constructor."""
+    _, _, cols, others = lefschetz._graded_basis(complex_, tuple(extra), k)
+    row_index, entries = {}, {}
+    for g in others:
+        for j, b in enumerate(cols):
+            for ma, ca in g.terms.items():
+                rest = dict(b.exps)
+                if all(rest.get(v, 0) >= e for v, e in ma.exps):
+                    for v, e in ma.exps:
+                        rest[v] -= e
+                    i = row_index.setdefault((g, Monomial(rest)), len(row_index))
+                    entries[i, j] = entries.get((i, j), 0) + ca
+    return cols, linalg.ExactMatrix(len(row_index), len(cols), entries)
+
+
+class TestContractionMatrixOracle:
+    def test_fixture_sops_match_the_pairwise_loop(self, cx, monkeypatch):
+        built = []
+        kernel_basis = linalg.kernel_basis
+        monkeypatch.setattr(linalg, "kernel_basis", lambda m: built.append(m) or kernel_basis(m))
+        for complex_, extra, degrees in inverse_system_cases(cx):
+            for k in degrees:
+                built.clear()
+                piece = inverse_system_piece(complex_, extra, k)
+                cols, reference = contraction_matrix_reference(complex_, extra, k)
+                matrix = built[-1]  # the complex's homology may come first
+                assert matrix == reference, (complex_, extra, k)
+                assert_normal_form(matrix)
+                assert piece.basis == tuple(
+                    Polynomial({cols[j]: c for j, c in enumerate(vec) if c})
+                    for vec in kernel_basis(reference).vectors
+                )
+                assert piece.dimension == quotient_hilbert(complex_, extra, k)
+
+
+class TestTrustedMatrices:
+    """Matrices the library builds without the constructor's checks hold
+    what the constructor would have made of them."""
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    @pytest.mark.parametrize("caps", [2, 3])
+    def test_frame_maps(self, cx, name, caps):
+        frame = ArtinianFrame(cx(name), caps)
+        vs = frame.complex.vertices
+        forms = [
+            frame.linear_form(),
+            Polynomial({Monomial({vs[0]: 1}): Fraction(1, 2), Monomial({vs[-1]: 1}): -3}),
+            Polynomial({Monomial({vs[0]: 1, vs[1]: 1}): Fraction(2, 3), Monomial({vs[1]: 2}): 4}),
+        ]
+        maps = IsotypicMaps(frame)
+        for k in range(frame.socle_degree()):
+            assert_normal_form(maps.matrix(k))
+            for f in forms:
+                mat = multiplication_matrix(frame, f, k)
+                assert_normal_form(mat)
+                assert_normal_form(mat.transpose())
+
+    def test_span_rows(self, cx, monkeypatch):
+        built = []
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda m: built.append(m) or rank(m))
+        theta = (P("1/2 x1 + x3 - 2/3 x5"), P("x2 + 3/4 x4"), P("1/3 x1*x3 + x6^2"), P("x2^3"))
+        for k in range(5):
+            lefschetz._hilbert.__wrapped__(cx("OCT"), theta, k)
+        assert len(built) == 4
+        for m in built:
+            assert_normal_form(m)
+
+
 # --- ×L in the symmetry-adapted bases of twin swaps ----------------------------
 
 

@@ -498,6 +498,13 @@ class TestIntegerKernelOracle:
         for k in range(frame.socle_degree()):
             _same_kernel(multiplication_matrix(frame, frame.linear_form(), k).transpose())
 
+    @pytest.mark.parametrize("caps", [2, 3])
+    def test_transposed_ball10_maps(self, cx, caps):
+        # kernel vectors with hundreds of nonzeros, solved in one pass
+        frame = ArtinianFrame(cx("BALL10"), caps)
+        for k in range(frame.socle_degree()):
+            _same_kernel(multiplication_matrix(frame, frame.linear_form(), k).transpose())
+
     def test_transposed_ball10_caps4_degree9(self, cx):
         frame = ArtinianFrame(cx("BALL10"), 4)
         got = _same_kernel(multiplication_matrix(frame, frame.linear_form(), 8).transpose())

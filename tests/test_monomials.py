@@ -120,6 +120,84 @@ class TestMonomialProduct:
         assert got == expected
 
 
+def divides_reference(a, b):
+    """Whether a divides b, read through a dict of b's exponents."""
+    o = dict(b.exps)
+    return all(o.get(v, 0) >= e for v, e in a.exps)
+
+
+def divide_reference(a, b):
+    """a / b through the validating constructor; b must divide a."""
+    d = dict(a.exps)
+    for v, e in b.exps:
+        if d.get(v, 0) < e:
+            raise ValueError("not divisible")
+        d[v] -= e
+    return Monomial(d)
+
+
+class TestMonomialQuotient:
+    """``over`` walks the two sorted exponent tuples once."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(exponent_maps, exponent_maps)
+    @example({}, {})
+    @example({2: 1}, {})
+    @example({}, {2: 1})
+    @example({1: 2, 3: 1}, {1: 2, 3: 1})  # equal
+    @example({1: 2}, {3: 1})  # disjoint
+    @example({1: 1, 2: 2}, {1: 2})  # an exponent too small
+    @example({1: 3, 2: 1, 4: 2}, {2: 1, 4: 1})
+    @example({1: 1, 5: 2}, {3: 1})  # a variable of other between two of self
+    @example({1: 1}, {1: 1, 2: 1})  # a variable of other past the end of self
+    def test_over_matches_dict_reference(self, a, b):
+        ma, mb = Monomial(a), Monomial(b)
+        got = ma.over(mb)
+        assert (got is not None) == divides_reference(mb, ma) == mb.divides(ma)
+        if got is not None:
+            want = divide_reference(ma, mb)
+            assert got.exps == want.exps
+            assert got.degree == want.degree
+            assert hash(got) == hash(want)
+            assert got == want
+
+
+def contract_reference(g, F):
+    """Contraction pair by pair in ``Fraction`` arithmetic."""
+    out = {}
+    for ma, ca in g.terms.items():
+        for mb, cb in F.terms.items():
+            if divides_reference(ma, mb):
+                m = divide_reference(mb, ma)
+                out[m] = out.get(m, Fraction(0)) + ca * cb
+    return Polynomial(out)
+
+
+def differentiate_reference(g, F):
+    """Differentiation pair by pair, each pair scaled by its falling
+    factorial, in ``Fraction`` arithmetic."""
+    out = {}
+    for ma, ca in g.terms.items():
+        for mb, cb in F.terms.items():
+            if divides_reference(ma, mb):
+                scale = 1
+                for v, e in ma.exps:
+                    b = mb.exponent(v)
+                    for t in range(e):
+                        scale *= b - t
+                m = divide_reference(mb, ma)
+                out[m] = out.get(m, Fraction(0)) + ca * cb * scale
+    return Polynomial(out)
+
+
+# few variables and exponents make sums cancel; the monomial 1 is drawn too
+action_polynomials = st.dictionaries(
+    st.dictionaries(st.integers(1, 3), st.integers(0, 3), max_size=3).map(Monomial),
+    st.sampled_from([Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3, 4)]),
+    max_size=6,
+).map(Polynomial)
+
+
 class TestActions:
     def test_contract_basics(self):
         assert contract(P("x1"), P("x1*x2")) == P("x2")
@@ -141,6 +219,25 @@ class TestActions:
         g = divided_power_rescale(P("x1^3*x2 + 2 x3^2"))
         assert g.coefficient(Monomial({1: 3, 2: 1})) == Fraction(1, 6)
         assert g.coefficient(Monomial({3: 2})) == Fraction(1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(action_polynomials, action_polynomials)
+    @example(P("1/2 x1 + 1/3 x2"), P("1/3 x1*x3 - 1/2 x2*x3"))  # cancels to zero
+    @example(P("1/2 x1 - 1/2 x2"), P("1/3 x1^2*x2 - 1/3 x1*x2^2"))  # cancels to zero
+    @example(P("1/2 + x1"), P("1/3 x1^2 + 3/4 x2"))  # a constant term in g
+    @example(P("1/2 x1^2"), P("1/3 x1^3 + 2/3 x1^4"))  # both denominators count
+    @example(P("x1^2*x2"), P("x1*x2^3"))  # an exponent of g too large
+    def test_actions_match_pairwise_references(self, g, F):
+        got = contract(g, F)
+        assert got == contract_reference(g, F)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+        got = differentiate(g, F)
+        assert got == differentiate_reference(g, F)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+
+    def test_falling_factorial(self):
+        assert differentiate(P("x1^2"), P("1/5 x1^4*x2")) == P("12/5 x1^2*x2")
+        assert differentiate(P("x1*x2"), P("x1^3*x2^2")) == P("6 x1^2*x2")
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

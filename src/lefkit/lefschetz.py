@@ -14,6 +14,7 @@ vanishing degree by that frame's socle degree + 1.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,7 @@ from .monomials import (
     ArtinianFrame,
     Monomial,
     Polynomial,
+    _over,
     _products,
     contract,
     face_monomials,  # unused here; benchmarks/selftest.py checks the tracer wraps this binding
@@ -277,10 +279,11 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     The contraction matrix is built here, not from span rows, so Macaulay
     duality stays an independent check of the quotient dimensions.  Its
     columns are the standard monomials b of degree k, and each span form g
-    has one row per quotient q = b / t (``Monomial.over``) over its terms
-    t, in order of first appearance; entry (g, q), b is g's coefficient of
-    t, read into ``linalg``'s normal form once per form.  A form given
-    more than once adds its coefficients once per copy.
+    has one row per quotient q = b / t (``_over`` on the exponent tuples)
+    over its terms t, in order of first appearance; entry (g, q), b is
+    g's coefficient of t, read into ``linalg``'s normal form once per
+    form.  A form given more than once adds its coefficients once per
+    copy.
     """
     extra = tuple(extra)
     if _first_vanishing(cx, extra)[0] is None:
@@ -289,10 +292,10 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     row_index = {}
     entries = {}
     for n, (g, copies) in enumerate(Counter(others).items()):
-        terms = [(t, linalg._exact(c * copies)) for t, c in g.terms.items()]
+        terms = [(t.exps, linalg._exact(c * copies)) for t, c in g.terms.items()]
         for j, b in enumerate(cols):
             for t, c in terms:
-                q = b.over(t)
+                q = _over(b.exps, t)
                 if q is not None:
                     # distinct terms of one form give distinct quotients
                     entries[row_index.setdefault((n, q), len(row_index)), j] = c
@@ -366,6 +369,43 @@ def _times_variable(exps, v):
     return exps + ((v, 1),)
 
 
+def _pair_classes(frame: ArtinianFrame, pairs) -> tuple:
+    """The classes of two or more twin pairs that automorphisms of the
+    frame permute, each as the ascending bit positions of its pairs.
+
+    For pairs (a, b) and (c, d), the vertex permutations (a c)(b d) and
+    (a d)(b c) map each pair onto the other.  One that keeps every cap
+    and maps the facet set onto itself is an automorphism of the frame
+    that fixes L, and it conjugates the swap of one pair into the swap of
+    the other, so on characters it swaps the two pairs' bits.  Pairs that
+    such automorphisms join form a class, and its swaps generate every
+    permutation of its bits.  If p is joined to q and q to r, conjugating
+    the first by the second joins p to r, so each pair is tested against
+    the first pair of each class only.
+    """
+    if len(pairs) < 2:
+        return ()
+    facets = set(frame.complex.facets)
+    caps = frame.cap_map
+
+    def joined(p, q):
+        (a, b), (c, d) = p, q
+        return any(
+            all(caps[v] == caps[w] for v, w in sigma.items())
+            and all(frozenset(sigma.get(v, v) for v in f) in facets for f in facets)
+            for sigma in ({a: c, c: a, b: d, d: b}, {a: d, d: a, b: c, c: b})
+        )
+
+    classes = []
+    for i, pair in enumerate(pairs):
+        home = next((bits for bits in classes if joined(pairs[bits[0]], pair)), None)
+        if home is None:
+            classes.append([i])
+        else:
+            home.append(i)
+    return tuple(bits for bits in classes if len(bits) > 1)
+
+
 class IsotypicMaps:
     """×L of a frame in the symmetry-adapted bases of its twin swaps.
 
@@ -387,9 +427,17 @@ class IsotypicMaps:
     swaps taking q to x_v r, is +1 here, since h only holds pairs where r
     is balanced.  Entries are 1, or 2 where x_a r and x_b r share an orbit.
 
-    ``matrix(k)`` lays the blocks from degree k along one diagonal, in
-    ascending S, so its rank is the sum of the block ranks, and the maps
-    of consecutive degrees compose block by block.  Without twins it is
+    An automorphism that permutes the pairs and fixes L maps block S onto
+    a similar block, so the blocks of one orbit of characters have equal
+    ranks (``_pair_classes``); the orbit of S holds every mask with as
+    many bits as S in each class of pairs.  ``matrices(k, True)`` builds
+    only the block of the least mask of each orbit, and lays the blocks
+    of orbits of one size w along one diagonal: the rank of ×L is the sum
+    of w times the rank of each.  The maps of consecutive degrees compose
+    diagonal by diagonal.
+
+    ``matrix(k)`` lays every block along one diagonal, in ascending S, so
+    its rank is the sum of the block ranks.  Without twins it is
     ``multiplication_matrix(frame, L, k)``.  Only representatives and the
     products of representatives are canonicalised, as exponent pairs; no
     ``Monomial`` is built.
@@ -398,6 +446,8 @@ class IsotypicMaps:
     def __init__(self, frame: ArtinianFrame):
         self.frame = frame
         self.pairs = twin_pairs(frame)
+        self._classes = _pair_classes(frame, self.pairs)
+        self._caps = frame.cap_map
         cx = frame.complex
         closed = {v: {v} for v in cx.vertices}
         for f in cx.facets:
@@ -408,6 +458,19 @@ class IsotypicMaps:
         self._candidates = {v: tuple(sorted(c)) for v, c in closed.items()}
         self._candidates[None] = cx.vertices
         self._next = {}  # the layout of degree k + 1, kept for the map from it
+
+    def orbit(self, s: int) -> tuple:
+        """The least character in the orbit of S, and the orbit's size."""
+        least, size = s, 1
+        for bits in self._classes:
+            n = 0
+            for b in bits:
+                n += s >> b & 1
+                least &= ~(1 << b)
+            for b in bits[:n]:
+                least |= 1 << b
+            size *= math.comb(len(bits), n)
+        return least, size
 
     def _representative(self, exps):
         """The orbit representative of a monomial's exponent pairs."""
@@ -420,12 +483,19 @@ class IsotypicMaps:
                 flipped = True
         return tuple(sorted((v, x) for v, x in e.items() if x)) if flipped else exps
 
-    def layout(self, k: int) -> dict:
-        """Each character S mapped to its basis in degree k: the
-        representatives whose balanced mask misses S, each mapped to its
-        position along the diagonal (characters ascending)."""
+    def _layout(self, k: int, orbits: bool) -> tuple:
+        """Each character S mapped to (w, basis), and each w to the length
+        of diagonal w, in degree k.  The basis of S is the representatives
+        whose balanced mask misses S, in standard-monomial order, each
+        mapped to its position along diagonal w, where the characters
+        ascend.  With ``orbits``, only the least character of each orbit
+        is filed and w is the orbit's size; without, w is 1.  The trivial
+        character is its own orbit, so its basis, every representative,
+        is always there."""
+        least_only = orbits and self._classes
         bases = {}
-        for m in standard_monomials(self.frame.complex, k, self.frame.cap_map):
+        filed = {}  # unbalanced mask -> the characters its monomials are filed under
+        for m in standard_monomials(self.frame.complex, k, self._caps):
             e = dict(m.exps) if self.pairs else None
             free = 0  # the unbalanced pairs
             for bit, (a, b) in enumerate(self.pairs):
@@ -435,31 +505,49 @@ class IsotypicMaps:
                 if ea > eb:
                     free |= 1 << bit
             else:
-                # the characters trivial on the stabiliser: submasks of free
-                s = free
-                while True:
+                chars = filed.get(free)
+                if chars is None:
+                    # the characters trivial on the stabiliser: submasks of free
+                    chars, s = [], free
+                    while True:
+                        if not least_only or self.orbit(s)[0] == s:
+                            chars.append(s)
+                        if not s:
+                            break
+                        s = (s - 1) & free
+                    filed[free] = chars
+                for s in chars:
                     bases.setdefault(s, []).append(m.exps)
-                    if not s:
-                        break
-                    s = (s - 1) & free
         out = {}
-        start = 0
+        lengths = {}
         for s in sorted(bases):
-            out[s] = dict(zip(bases[s], range(start, start + len(bases[s]))))
-            start += len(bases[s])
-        return out
+            w = self.orbit(s)[1] if least_only else 1
+            start = lengths.get(w, 0)
+            lengths[w] = start + len(bases[s])
+            out[s] = (w, dict(zip(bases[s], range(start, lengths[w]))))
+        return out, lengths
 
-    def matrix(self, k: int) -> linalg.ExactMatrix:
-        """×L from degree k to k + 1, block-diagonal by character."""
-        src = self._next.pop(k, None) or self.layout(k)
-        dst = self._next[k + 1] = self.layout(k + 1)
-        reps = dst.get(0, {})  # every representative lies in the trivial block
+    def layout(self, k: int) -> dict:
+        """Each character S mapped to its basis in degree k, each
+        representative mapped to its position along the diagonal
+        (characters ascending)."""
+        return {s: basis for s, (_, basis) in self._layout(k, False)[0].items()}
+
+    def matrices(self, k: int, orbits: bool = False) -> dict:
+        """×L from degree k to k + 1, as {w: matrix}.  With ``orbits``,
+        the blocks of the least character of each orbit of size w lie
+        along the diagonal of matrix w; without, every block lies along
+        the one diagonal of matrix 1.  Characters ascend along each."""
+        src, src_lengths = self._next.pop((k, orbits), None) or self._layout(k, orbits)
+        dst, dst_lengths = self._next[k + 1, orbits] = self._layout(k + 1, orbits)
+        reps = dst[0][1] if dst else {}  # every representative lies in the trivial block
         represent = self._representative if self.pairs else (lambda exps: exps)
         candidates = self._candidates
         products = {}
-        entries = {}
-        for s, cols in src.items():
-            rows = dst.get(s, {})
+        diagonals = {w: {} for w in src_lengths.keys() | dst_lengths.keys()}
+        for s, (w, cols) in src.items():
+            rows = dst[s][1] if s in dst else {}
+            entries = diagonals[w]
             for r, j in cols.items():
                 targets = products.get(r)
                 if targets is None:
@@ -470,9 +558,19 @@ class IsotypicMaps:
                 for q in targets:
                     i = rows[q]
                     entries[i, j] = entries.get((i, j), 0) + 1
-        return linalg.ExactMatrix._trusted(
-            sum(map(len, dst.values())), sum(map(len, src.values())), entries
-        )
+        return {
+            w: linalg.ExactMatrix._trusted(dst_lengths.get(w, 0), src_lengths.get(w, 0), entries)
+            for w, entries in diagonals.items()
+        }
+
+    def matrix(self, k: int) -> linalg.ExactMatrix:
+        """×L from degree k to k + 1: every block along one diagonal."""
+        return self.matrices(k).get(1, linalg.ExactMatrix(0, 0))
+
+
+def _weighted_rank(diagonals: dict) -> int:
+    """The rank of a map given as ``IsotypicMaps.matrices`` gives it."""
+    return sum(w * linalg.rank(m) for w, m in diagonals.items())
 
 
 def wlp_check(frame: ArtinianFrame) -> WlpReport:
@@ -481,21 +579,21 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     single linear form decides the weak Lefschetz property.
 
     Each rank is that of ×L in the symmetry-adapted bases of the frame's
-    twin swaps (``IsotypicMaps``): one elimination of the block-diagonal
-    matrix, so the sum of the block ranks.  The dimensions come from
-    ``hilbert_function``.  The algebra is generated in degree 1, so once
-    L A_k = A_{k+1} every later map is onto as well (A_{k+2} = A_1 L A_k =
-    L A_{k+1}); those ranks are set to the target dimension without
-    elimination.
+    twin swaps (``IsotypicMaps``): one block per orbit of characters,
+    its rank weighted by the orbit's size, and one elimination per orbit
+    size.  The dimensions come from ``hilbert_function``.  The algebra
+    is generated in degree 1, so once L A_k = A_{k+1} every later map is
+    onto as well (A_{k+2} = A_1 L A_k = L A_{k+1}); those ranks are set
+    to the target dimension without elimination.
     """
     maps = IsotypicMaps(frame)
     socle = frame.socle_degree()
     per = []
     onto = False
+    b = hilbert_function(frame, 0)
     for k in range(socle):
-        a = hilbert_function(frame, k)
-        b = hilbert_function(frame, k + 1)
-        r = b if onto else linalg.rank(maps.matrix(k))
+        a, b = b, hilbert_function(frame, k + 1)
+        r = b if onto else _weighted_rank(maps.matrices(k, True))
         onto = r == b
         full = r == min(a, b)
         per.append(PerDegree(k, a, b, r, full, "none" if full else _failure_mode(a, b, r)))
@@ -506,28 +604,29 @@ def slp_check(frame: ArtinianFrame) -> SlpReport:
     """Full-rank report for all powers of the linear form: the rank of
     ×L^j from degree i to i + j for every pair, in order of j, then i.
 
-    Each ×L map M_k is built once, block-diagonal in the symmetry-adapted
-    bases (``IsotypicMaps``), and ×L^j from degree i is M_{i+j-1} times
-    ×L^{j-1} from degree i: the blocks compose within each character, and
-    one elimination of the product sums their ranks.  As in
-    ``wlp_check``, once L^j A_i = A_{i+j} the maps from later degrees are
-    onto too (A_{i+1+j} = A_1 L^j A_i = L^j A_{i+1}), so their ranks are
-    not computed; their products still are, since the next power is
-    composed from them.
+    Each ×L map M_k is built once, as the blocks of one character per
+    orbit, one diagonal per orbit size (``IsotypicMaps.matrices``), and
+    ×L^j from degree i is M_{i+j-1} times ×L^{j-1} from degree i,
+    diagonal by diagonal; its rank is each diagonal's rank times its
+    orbit size.  As in ``wlp_check``, once L^j A_i = A_{i+j} the maps
+    from later degrees are onto too (A_{i+1+j} = A_1 L^j A_i =
+    L^j A_{i+1}), so their ranks are not computed; their products still
+    are, since the next power is composed from them.
     """
     maps = IsotypicMaps(frame)
     socle = frame.socle_degree()
     dims = [hilbert_function(frame, k) for k in range(socle + 1)]
-    steps = [maps.matrix(k) for k in range(socle)]
+    steps = [maps.matrices(k, True) for k in range(socle)]
     onto = set()  # powers j onto from some lower degree
     per = []
     for i in range(socle):
         power = steps[i]
         for j in range(1, socle - i + 1):
             if j > 1:
-                power = steps[i + j - 1] @ power
+                step = steps[i + j - 1]
+                power = {w: step[w] @ m for w, m in power.items() if w in step}
             a, b = dims[i], dims[i + j]
-            r = b if j in onto else linalg.rank(power)
+            r = b if j in onto else _weighted_rank(power)
             if r == b:
                 onto.add(j)
             per.append((j, i, a, b, r, r == min(a, b)))

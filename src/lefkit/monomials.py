@@ -82,32 +82,12 @@ class Monomial:
         return Monomial._trusted(tuple(sorted(d.items())), self.degree + other.degree)
 
     def over(self, other: "Monomial") -> Optional["Monomial"]:
-        """self / other, or None when other does not divide self.
-
-        One walk over the two sorted exponent tuples: the pairs of self
-        before each variable of other are copied, that variable's exponent
-        is reduced (and dropped at zero), and a variable of other that self
-        lacks, or holds with a smaller exponent, ends the walk with None.
-        """
+        """self / other, or None when other does not divide self
+        (``_over`` on the exponent tuples)."""
         if other.degree > self.degree:
             return None
-        out = []
-        rest = iter(self.exps)
-        for v, e in other.exps:
-            for w, f in rest:
-                if w == v:
-                    break
-                if w > v:
-                    return None
-                out.append((w, f))
-            else:
-                return None
-            if f < e:
-                return None
-            if f > e:
-                out.append((v, f - e))
-        out.extend(rest)
-        return Monomial._trusted(tuple(out), self.degree - other.degree)
+        q = _over(self.exps, other.exps)
+        return None if q is None else Monomial._trusted(q, self.degree - other.degree)
 
     def divides(self, other: "Monomial") -> bool:
         return other.over(self) is not None
@@ -133,6 +113,34 @@ class Monomial:
 
 
 _ONE = Monomial(())
+
+
+def _over(exps, other):
+    """The exponent pairs of exps / other, or None when other does not
+    divide exps: the one division walk.
+
+    One walk over the two sorted tuples: the pairs of exps before each
+    variable of other are copied, that variable's exponent is reduced
+    (and dropped at zero), and a variable of other that exps lacks, or
+    holds with a smaller exponent, ends the walk with None.
+    """
+    out = []
+    rest = iter(exps)
+    for v, e in other:
+        for w, f in rest:
+            if w == v:
+                break
+            if w > v:
+                return None
+            out.append((w, f))
+        else:
+            return None
+        if f < e:
+            return None
+        if f > e:
+            out.append((v, f - e))
+    out.extend(rest)
+    return tuple(out)
 
 
 class Polynomial:
@@ -314,21 +322,24 @@ def contract(g: Polynomial, F: Polynomial) -> Polynomial:
     """Contraction action of g on F, extended bilinearly.
 
     On monomials, x^a acts on y^b by dropping to y^(b-a) when a <= b
-    entrywise and by zero otherwise (``Monomial.over``).  The coefficients
-    of g and of F are scaled to integers once, over their denominators'
-    lcms; the products are summed as integers and divided by the product
-    of the two lcms only when the output terms are built.
+    entrywise and by zero otherwise (``_over``).  The coefficients of g
+    and of F are scaled to integers once, over their denominators'
+    lcms; the products are summed as integers, keyed by exponent tuples,
+    and divided by the product of the two lcms only when the output
+    terms are built, one ``Monomial`` per term.
     """
     gs, gd = _integral(g)
     fs, fd = _integral(F)
     out = {}
     for ma, ca in gs:
         for mb, cb in fs:
-            m = mb.over(ma)
-            if m is not None:
-                out[m] = out.get(m, 0) + ca * cb
+            if ma.degree <= mb.degree and (q := _over(mb.exps, ma.exps)) is not None:
+                out[q] = out.get(q, 0) + ca * cb
     den = gd * fd
-    return Polynomial({m: Fraction(c, den) for m, c in out.items() if c})
+    return Polynomial({
+        Monomial._trusted(q, sum(e for _, e in q)): Fraction(c, den)
+        for q, c in out.items() if c
+    })
 
 
 def _factorials(m: Monomial) -> int:

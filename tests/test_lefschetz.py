@@ -386,18 +386,27 @@ class TestOntoPropagation:
             assert [p.rank for p in report.per_degree] == direct, frame
 
     def test_onto_degrees_are_not_eliminated(self, cx, monkeypatch):
-        calls = []
-        real_rank = linalg.rank
+        # ranks are taken per orbit size, so each ranked matrix is traced
+        # back to the degree of the ×L map it is a part of
+        degree_of = {}
+        eliminated = set()
+        real_matrices, real_rank = IsotypicMaps.matrices, linalg.rank
 
-        def counting_rank(matrix):
-            calls.append(matrix)
+        def recording_matrices(self, k, orbits=False):
+            out = real_matrices(self, k, orbits)
+            degree_of.update((id(m), k) for m in out.values())
+            return out
+
+        def recording_rank(matrix):
+            eliminated.add(degree_of[id(matrix)])
             return real_rank(matrix)
 
-        monkeypatch.setattr(linalg, "rank", counting_rank)
+        monkeypatch.setattr(IsotypicMaps, "matrices", recording_matrices)
+        monkeypatch.setattr(linalg, "rank", recording_rank)
         report = wlp_check(ArtinianFrame(cx("OCT"), 3))
         first_onto = next(p.k for p in report.per_degree if p.rank == p.dim_to)
         assert first_onto < report.socle_degree - 1
-        assert len(calls) == first_onto + 1
+        assert eliminated == set(range(first_onto + 1))
 
 
 def slp_reference(frame):
@@ -1146,3 +1155,144 @@ class TestSymmetryAdaptedBasis:
     @given(planted_twins())
     def test_planted_twins(self, frame):
         check_change_of_basis(frame)
+
+
+# --- one elimination per orbit of characters ------------------------------------
+
+
+def relabelled(frame, rng):
+    """The frame with its vertices renamed at random, caps carried along,
+    so the twin pairs, and with them the character bits, are reordered."""
+    vs = frame.complex.vertices
+    name = dict(zip(vs, rng.sample(range(1, 400), len(vs))))
+    moved = from_facets([{name[v] for v in f} for f in frame.complex.facets])
+    return ArtinianFrame(moved, {name[v]: a for v, a in frame.caps})
+
+
+def diagonal_of(blocks):
+    entries = {}
+    row = col = 0
+    for block in blocks:
+        entries.update(((row + i, col + j), v) for (i, j), v in block.entries.items())
+        row, col = row + block.rows, col + block.cols
+    return linalg.ExactMatrix(row, col, entries)
+
+
+def check_orbits(frame):
+    """In every degree below the socle: each block has its orbit
+    representative's shape and rank, each representative stands for as
+    many characters as its orbit's size, the matrix of orbit size w lays
+    the representative blocks of that size along its diagonal, and the
+    weighted ranks are the direct ranks."""
+    maps = IsotypicMaps(frame)
+    if not maps.pairs:
+        # one character, and check_blocks pins its block to the direct map
+        assert maps.orbit(0) == (0, 1)
+        return
+    L = frame.linear_form()
+    for k in range(frame.socle_degree()):
+        blocks = dict(split_blocks(maps, k))
+        ranks = {s: linalg.rank(b) for s, b in blocks.items()}
+        members = Counter()
+        for s, block in blocks.items():
+            least, size = maps.orbit(s)
+            assert maps.orbit(least) == (least, size), (frame, k, s)
+            assert bin(least).count("1") == bin(s).count("1"), (frame, k, s)
+            rep = blocks[least]
+            assert (rep.rows, rep.cols, ranks[least]) == (block.rows, block.cols, ranks[s]), (
+                frame, k, s)
+            members[least] += 1
+        assert all(members[s] == maps.orbit(s)[1] for s in members), (frame, k)
+        diagonals = maps.matrices(k, True)
+        assert sorted(diagonals) == sorted({maps.orbit(s)[1] for s in members}), (frame, k)
+        for w, diagonal in diagonals.items():
+            chosen = [blocks[s] for s in sorted(members) if maps.orbit(s)[1] == w]
+            assert diagonal == diagonal_of(chosen), (frame, k, w)
+        direct = linalg.rank(multiplication_matrix(frame, L, k))
+        assert sum(w * linalg.rank(m) for w, m in diagonals.items()) == direct, (frame, k)
+
+
+def all_weights_one(maps):
+    return all(maps.orbit(s) == (s, 1) for s in range(1 << len(maps.pairs)))
+
+
+class TestCharacterOrbits:
+    """Blocks of one orbit of characters against each other and against
+    direct elimination, on relabelled frames."""
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_fixtures_caps_2_to_5(self, cx, name):
+        rng = random.Random(name)
+        for caps in (2, 3, 4, 5):
+            check_orbits(relabelled(ArtinianFrame(cx(name), caps), rng))
+
+    @pytest.mark.parametrize("d, caps", [(4, 3), (4, 4), (5, 3), (5, 4)])
+    def test_cross_polytopes(self, d, caps):
+        frame = relabelled(ArtinianFrame(cross_polytope(d), caps), random.Random(d * caps))
+        maps = IsotypicMaps(frame)
+        # every pair permutes with every other: one orbit per popcount
+        assert len({maps.orbit(s) for s in range(1 << d)}) == d + 1
+        check_orbits(frame)
+        # see TestIsotypicBlocks.test_cross_polytopes
+        _standard_monomials.cache_clear()
+
+    def test_random_graphs(self):
+        for frame in random_graph_frames(2718, (2, 3, 4)):
+            check_orbits(frame)
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_twins(), st.randoms(use_true_random=False))
+    def test_planted_twins(self, frame, rng):
+        check_orbits(relabelled(frame, rng))
+
+    @pytest.mark.parametrize("caps", [2, 3])
+    def test_k33_pairs_do_not_permute(self, caps):
+        # (1 4)(2 5) and (1 5)(2 4) each move an edge {1, 6} into one side
+        frame = ArtinianFrame(K33, caps)
+        assert all_weights_one(IsotypicMaps(frame))
+        check_orbits(frame)
+
+    def test_suspension_pair_and_isolated_pair_do_not_permute(self):
+        frame = ArtinianFrame(from_facets([{1, 3}, {2, 3}, {4}, {5}]), 2)
+        assert IsotypicMaps(frame).pairs == ((1, 2), (4, 5))
+        assert all_weights_one(IsotypicMaps(frame))
+        check_orbits(frame)
+
+    def test_caps_that_differ_between_pairs(self, cx):
+        frame = ArtinianFrame(cx("CROSS4"), [2, 2, 3, 3, 4, 4, 5, 5])
+        assert all_weights_one(IsotypicMaps(frame))
+        check_orbits(frame)
+        # pair (3, 4) at cap 3 permutes with none of the pairs at cap 2
+        maps = IsotypicMaps(ArtinianFrame(cx("CROSS4"), [2, 2, 3, 3, 2, 2, 2, 2]))
+        assert maps.orbit(0b0010) == (0b0010, 1)
+        assert [maps.orbit(s) for s in (0b0001, 0b0100, 0b1000)] == [(0b0001, 3)] * 3
+        assert maps.orbit(0b1111) == (0b1111, 1)
+        assert maps.orbit(0b1101) == (0b1101, 1)
+        assert maps.orbit(0b1010) == (0b0011, 3)
+
+    def test_wlp_ranks_match_direct(self, cx):
+        rng = random.Random(8)
+        frames = [relabelled(ArtinianFrame(cx(name), caps), rng)
+                  for name in ("OCT", "CROSS4", "C4", "PATH3") for caps in (2, 3, 4)]
+        frames += [ArtinianFrame(cx("CROSS4"), [2, 2, 3, 3, 2, 2, 2, 2]),
+                   ArtinianFrame(cx("OCT"), [2, 3, 2, 2, 3, 3]), ArtinianFrame(K33, 3)]
+        for frame in frames:
+            report = wlp_check(frame)
+            direct = direct_ranks(frame, frame.linear_form(), range(report.socle_degree))
+            assert [p.rank for p in report.per_degree] == direct, frame
+
+    def test_slp_reports_match_reference(self, cx):
+        rng = random.Random(9)
+        frames = [relabelled(ArtinianFrame(cx("OCT"), 3), rng),
+                  relabelled(ArtinianFrame(cx("CROSS4"), 2), rng),
+                  relabelled(ArtinianFrame(cx("C4"), 3), rng),
+                  ArtinianFrame(cx("OCT"), [2, 2, 3, 3, 2, 2]),
+                  ArtinianFrame(cx("OCT"), [2, 2, 3, 3, 4, 4])]
+        for frame in frames:
+            assert slp_check(frame) == slp_reference(frame), frame
+
+    @settings(max_examples=25, deadline=None)
+    @given(planted_twins(), st.randoms(use_true_random=False))
+    def test_slp_reports_match_reference_with_planted_twins(self, frame, rng):
+        frame = relabelled(frame, rng)
+        assert slp_check(frame) == slp_reference(frame)

@@ -235,6 +235,16 @@ class TestActions:
         assert got == differentiate_reference(g, F)
         assert all(type(c) is Fraction and c for c in got.terms.values())
 
+    @settings(max_examples=200, deadline=None)
+    @given(action_polynomials, action_polynomials)
+    @example(P("x1 + x2"), P("x1^2*x3 + x2*x3"))  # two terms sum onto one monomial
+    def test_output_monomials_are_the_constructors(self, g, F):
+        # outputs are accumulated by exponent tuple and built once per term
+        for got in (contract(g, F), differentiate(g, F)):
+            for m in got.terms:
+                want = Monomial(m.exps)
+                assert (m.exps, m.degree, hash(m)) == (want.exps, want.degree, hash(want))
+
     def test_falling_factorial(self):
         assert differentiate(P("x1^2"), P("1/5 x1^4*x2")) == P("12/5 x1^2*x2")
         assert differentiate(P("x1*x2"), P("x1^3*x2^2")) == P("6 x1^2*x2")

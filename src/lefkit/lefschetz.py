@@ -49,6 +49,7 @@ from .monomials import (
     Polynomial,
     _over,
     _products,
+    _times,
     contract,
     face_monomials,  # unused here; benchmarks/selftest.py checks the tracer wraps this binding
     hilbert_function,
@@ -167,8 +168,9 @@ def _validate_extra(cx, extra):
 
 
 def _fold(extra):
-    """Split nonzero forms into pure-power caps {v: least exponent}, other
-    monomials (divisibility filters) and the forms that need span rows."""
+    """Split nonzero forms into pure-power caps, (v, least exponent) pairs
+    in ascending v, other monomials' exponent tuples (divisibility
+    filters) and the forms that need span rows."""
     caps, filters, others = {}, [], []
     for g in extra:
         if g.is_zero():
@@ -181,8 +183,8 @@ def _fold(extra):
             v, e = m.exps[0]
             caps[v] = min(caps.get(v, e), e)
         else:
-            filters.append(m)
-    return caps, filters, others
+            filters.append(m.exps)
+    return tuple(sorted(caps.items())), filters, others
 
 
 def _graded_basis(cx, extra, k):
@@ -238,7 +240,7 @@ def _vanishing_bound(cx, extra):
         return 1 + fh_profile(cx).h_degree + sum(max(g.degree() - 1, 0) for g in extra)
     if all(g.degree() <= 1 for g in extra):
         return cx.dim + 2
-    caps = _fold(extra)[0]
+    caps = dict(_fold(extra)[0])
     if all(v in caps for v in cx.vertices):
         return 1 + max(sum(caps[v] - 1 for v in f) for f in cx.facets)
     raise HypothesisError(
@@ -279,11 +281,10 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     The contraction matrix is built here, not from span rows, so Macaulay
     duality stays an independent check of the quotient dimensions.  Its
     columns are the standard monomials b of degree k, and each span form g
-    has one row per quotient q = b / t (``_over`` on the exponent tuples)
-    over its terms t, in order of first appearance; entry (g, q), b is
-    g's coefficient of t, read into ``linalg``'s normal form once per
-    form.  A form given more than once adds its coefficients once per
-    copy.
+    has one row per quotient q = b / t (``_over``) over its terms t, in
+    order of first appearance; entry (g, q), b is g's coefficient of t,
+    read into ``linalg``'s normal form once per form.  A form given more
+    than once adds its coefficients once per copy.
     """
     extra = tuple(extra)
     if _first_vanishing(cx, extra)[0] is None:
@@ -295,13 +296,13 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
         terms = [(t.exps, linalg._exact(c * copies)) for t, c in g.terms.items()]
         for j, b in enumerate(cols):
             for t, c in terms:
-                q = _over(b.exps, t)
+                q = _over(b, t)
                 if q is not None:
                     # distinct terms of one form give distinct quotients
                     entries[row_index.setdefault((n, q), len(row_index)), j] = c
     mat = linalg.ExactMatrix._trusted(len(row_index), len(cols), entries)
     basis = tuple(
-        Polynomial({cols[j]: c for j, c in enumerate(vec) if c})
+        Polynomial({Monomial._trusted(cols[j], k): c for j, c in enumerate(vec) if c})
         for vec in linalg.kernel_basis(mat).vectors
     )
     return InverseSystemPiece(k, basis)
@@ -357,16 +358,6 @@ def twin_pairs(frame: ArtinianFrame) -> tuple:
     for v, a in frame.caps:
         groups.setdefault((frozenset(links[v]), a), []).append(v)
     return tuple(sorted(p for g in groups.values() for p in zip(g[::2], g[1::2])))
-
-
-def _times_variable(exps, v):
-    """The sparse exponent pairs of x_v times the monomial exps."""
-    for i, (w, e) in enumerate(exps):
-        if w >= v:
-            if w == v:
-                return exps[:i] + ((v, e + 1),) + exps[i + 1:]
-            return exps[:i] + ((v, 1),) + exps[i:]
-    return exps + ((v, 1),)
 
 
 def _pair_classes(frame: ArtinianFrame, pairs) -> tuple:
@@ -430,33 +421,29 @@ class IsotypicMaps:
     An automorphism that permutes the pairs and fixes L maps block S onto
     a similar block, so the blocks of one orbit of characters have equal
     ranks (``_pair_classes``); the orbit of S holds every mask with as
-    many bits as S in each class of pairs.  ``matrices(k, True)`` builds
-    only the block of the least mask of each orbit, and lays the blocks
-    of orbits of one size w along one diagonal: the rank of ×L is the sum
-    of w times the rank of each.  The maps of consecutive degrees compose
-    diagonal by diagonal.
-
-    ``matrix(k)`` lays every block along one diagonal, in ascending S, so
-    its rank is the sum of the block ranks.  Without twins it is
-    ``multiplication_matrix(frame, L, k)``.  Only representatives and the
-    products of representatives are canonicalised, as exponent pairs; no
-    ``Monomial`` is built.
+    many bits as S in each class of pairs.  ``matrices(k)`` builds only
+    the block of the least mask of each orbit, and lays the blocks of
+    orbits of one size w along one diagonal: the rank of ×L is the sum of
+    w times the rank of each.  The maps of consecutive degrees compose
+    diagonal by diagonal.  With no classes every character is its own
+    orbit, and matrix 1 holds every block, in ascending S; without twins
+    it is ``multiplication_matrix(frame, L, k)``.  Products are taken on
+    the exponent tuples (``_times``); no ``Monomial`` is built.
     """
 
     def __init__(self, frame: ArtinianFrame):
         self.frame = frame
         self.pairs = twin_pairs(frame)
         self._classes = _pair_classes(frame, self.pairs)
-        self._caps = frame.cap_map
         cx = frame.complex
         closed = {v: {v} for v in cx.vertices}
         for f in cx.facets:
             for v in f:
                 closed[v].update(f)
         # x_v m can be standard only for v next to every vertex of m; the
-        # monomial 1 (key None) takes every vertex
-        self._candidates = {v: tuple(sorted(c)) for v, c in closed.items()}
-        self._candidates[None] = cx.vertices
+        # monomial 1 (key None) takes every x_v, each kept as its exps
+        self._candidates = {v: tuple(((w, 1),) for w in sorted(c)) for v, c in closed.items()}
+        self._candidates[None] = tuple(((w, 1),) for w in cx.vertices)
         self._next = {}  # the layout of degree k + 1, kept for the map from it
 
     def orbit(self, s: int) -> tuple:
@@ -483,20 +470,17 @@ class IsotypicMaps:
                 flipped = True
         return tuple(sorted((v, x) for v, x in e.items() if x)) if flipped else exps
 
-    def _layout(self, k: int, orbits: bool) -> tuple:
-        """Each character S mapped to (w, basis), and each w to the length
-        of diagonal w, in degree k.  The basis of S is the representatives
-        whose balanced mask misses S, in standard-monomial order, each
-        mapped to its position along diagonal w, where the characters
-        ascend.  With ``orbits``, only the least character of each orbit
-        is filed and w is the orbit's size; without, w is 1.  The trivial
-        character is its own orbit, so its basis, every representative,
-        is always there."""
-        least_only = orbits and self._classes
+    def _layout(self, k: int) -> tuple:
+        """The least character S of each orbit of size w mapped to (w,
+        basis), and each w to the length of diagonal w, in degree k.  The
+        basis of S is the representatives whose balanced mask misses S, in
+        standard-monomial order, each mapped to its position along
+        diagonal w, where the characters ascend.  The trivial character is
+        its own orbit, so its basis, every representative, is there."""
         bases = {}
         filed = {}  # unbalanced mask -> the characters its monomials are filed under
-        for m in standard_monomials(self.frame.complex, k, self._caps):
-            e = dict(m.exps) if self.pairs else None
+        for m in standard_monomials(self.frame.complex, k, self.frame.caps):
+            e = dict(m) if self.pairs else None
             free = 0  # the unbalanced pairs
             for bit, (a, b) in enumerate(self.pairs):
                 ea, eb = e.get(a, 0), e.get(b, 0)
@@ -510,36 +494,29 @@ class IsotypicMaps:
                     # the characters trivial on the stabiliser: submasks of free
                     chars, s = [], free
                     while True:
-                        if not least_only or self.orbit(s)[0] == s:
+                        if self.orbit(s)[0] == s:
                             chars.append(s)
                         if not s:
                             break
                         s = (s - 1) & free
                     filed[free] = chars
                 for s in chars:
-                    bases.setdefault(s, []).append(m.exps)
+                    bases.setdefault(s, []).append(m)
         out = {}
         lengths = {}
         for s in sorted(bases):
-            w = self.orbit(s)[1] if least_only else 1
+            w = self.orbit(s)[1]
             start = lengths.get(w, 0)
             lengths[w] = start + len(bases[s])
             out[s] = (w, dict(zip(bases[s], range(start, lengths[w]))))
         return out, lengths
 
-    def layout(self, k: int) -> dict:
-        """Each character S mapped to its basis in degree k, each
-        representative mapped to its position along the diagonal
-        (characters ascending)."""
-        return {s: basis for s, (_, basis) in self._layout(k, False)[0].items()}
-
-    def matrices(self, k: int, orbits: bool = False) -> dict:
-        """×L from degree k to k + 1, as {w: matrix}.  With ``orbits``,
-        the blocks of the least character of each orbit of size w lie
-        along the diagonal of matrix w; without, every block lies along
-        the one diagonal of matrix 1.  Characters ascend along each."""
-        src, src_lengths = self._next.pop((k, orbits), None) or self._layout(k, orbits)
-        dst, dst_lengths = self._next[k + 1, orbits] = self._layout(k + 1, orbits)
+    def matrices(self, k: int) -> dict:
+        """×L from degree k to k + 1, as {w: matrix}: the blocks of the
+        least character of each orbit of size w lie along the diagonal of
+        matrix w, characters ascending."""
+        src, src_lengths = self._next.pop(k, None) or self._layout(k)
+        dst, dst_lengths = self._next[k + 1] = self._layout(k + 1)
         reps = dst[0][1] if dst else {}  # every representative lies in the trivial block
         represent = self._representative if self.pairs else (lambda exps: exps)
         candidates = self._candidates
@@ -552,8 +529,8 @@ class IsotypicMaps:
                 targets = products.get(r)
                 if targets is None:
                     targets = products[r] = [
-                        q for v in candidates[r[0][0] if r else None]
-                        if (q := represent(_times_variable(r, v))) in reps
+                        q for x in candidates[r[0][0] if r else None]
+                        if (q := represent(_times(r, x))) in reps
                     ]
                 for q in targets:
                     i = rows[q]
@@ -562,10 +539,6 @@ class IsotypicMaps:
             w: linalg.ExactMatrix._trusted(dst_lengths.get(w, 0), src_lengths.get(w, 0), entries)
             for w, entries in diagonals.items()
         }
-
-    def matrix(self, k: int) -> linalg.ExactMatrix:
-        """×L from degree k to k + 1: every block along one diagonal."""
-        return self.matrices(k).get(1, linalg.ExactMatrix(0, 0))
 
 
 def _weighted_rank(diagonals: dict) -> int:
@@ -593,7 +566,7 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     b = hilbert_function(frame, 0)
     for k in range(socle):
         a, b = b, hilbert_function(frame, k + 1)
-        r = b if onto else _weighted_rank(maps.matrices(k, True))
+        r = b if onto else _weighted_rank(maps.matrices(k))
         onto = r == b
         full = r == min(a, b)
         per.append(PerDegree(k, a, b, r, full, "none" if full else _failure_mode(a, b, r)))
@@ -616,7 +589,7 @@ def slp_check(frame: ArtinianFrame) -> SlpReport:
     maps = IsotypicMaps(frame)
     socle = frame.socle_degree()
     dims = [hilbert_function(frame, k) for k in range(socle + 1)]
-    steps = [maps.matrices(k, True) for k in range(socle)]
+    steps = [maps.matrices(k) for k in range(socle)]
     onto = set()  # powers j onto from some lower degree
     per = []
     for i in range(socle):

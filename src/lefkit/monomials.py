@@ -1,12 +1,15 @@
 """Exact sparse polynomials, Stanley-Reisner machinery and artinian
 monomial algebras.
 
-Coefficients are exact rationals end to end.  Monomials of equal degree
-are ordered lexicographically ascending on their exponent vectors (over
-ascending variable ids, ``Monomial.order_key``); every basis and matrix in
-the library is emitted in this graded-lex order so outputs are stable.
-Every basis, of a capped frame or of a quotient by extra forms, comes from
-the cached ``standard_monomials``: a frame is the quotient by its power
+Coefficients are exact rationals end to end.  Inside the engine a
+monomial is its exponent tuple, the sorted pairs of ``Monomial.exps``,
+multiplied by ``_times`` and divided by ``_over``; a ``Monomial`` is
+built only where a result leaves the library.  Monomials of equal degree
+are ordered lexicographically ascending on their exponent vectors over
+ascending variable ids (``_order_key``); every basis and matrix in the
+library is emitted in this graded-lex order so outputs are stable.  Every
+basis, of a capped frame or of a quotient by extra forms, comes from the
+cached ``standard_monomials``: a frame is the quotient by its power
 generators.
 """
 
@@ -75,11 +78,8 @@ class Monomial:
         return m
 
     def times(self, other: "Monomial") -> "Monomial":
-        # a product of valid monomials is valid: sort the summed exponents
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) + e
-        return Monomial._trusted(tuple(sorted(d.items())), self.degree + other.degree)
+        # a product of valid monomials is valid (``_times``)
+        return Monomial._trusted(_times(self.exps, other.exps), self.degree + other.degree)
 
     def over(self, other: "Monomial") -> Optional["Monomial"]:
         """self / other, or None when other does not divide self
@@ -93,9 +93,8 @@ class Monomial:
         return other.over(self) is not None
 
     def order_key(self) -> tuple:
-        """Graded-lex key: degree, then the exponent vector over ascending
-        variable ids; negated ids make the sparse pairs compare that way."""
-        return (self.degree, tuple((-v, e) for v, e in self.exps))
+        """Graded-lex key: degree, then ``_order_key`` of the exponents."""
+        return (self.degree, _order_key(self.exps))
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -113,6 +112,32 @@ class Monomial:
 
 
 _ONE = Monomial(())
+
+
+def _order_key(exps) -> tuple:
+    """The graded-lex key within one degree: the exponent vector over
+    ascending variable ids; negated ids make the sparse pairs compare
+    that way."""
+    return tuple((-v, e) for v, e in exps)
+
+
+def _times(exps, other):
+    """The exponent pairs of exps * other: the one product walk.
+
+    One merge of the two sorted tuples: the pairs of exps before each
+    variable of other are copied, that variable's exponent is added to
+    the one exps holds, if any, and the rest of exps is copied.
+    """
+    out, i, n = [], 0, len(exps)
+    for v, e in other:
+        while i < n and exps[i][0] < v:
+            out.append(exps[i])
+            i += 1
+        if i < n and exps[i][0] == v:
+            e += exps[i][1]
+            i += 1
+        out.append((v, e))
+    return tuple(out) + exps[i:]
 
 
 def _over(exps, other):
@@ -491,58 +516,59 @@ class ArtinianFrame:
         return f"ArtinianFrame({self.complex!r}, caps={caps})"
 
 
-def face_monomials(cx: SimplicialComplex, k: int, caps: Optional[dict] = None):
-    """Monomials of degree k supported on faces, exponents below caps.
+def face_monomials(cx: SimplicialComplex, k: int, caps: Optional[dict] = None) -> tuple:
+    """Exponent tuples of the degree-k monomials supported on faces,
+    exponents below caps.
 
     Vertices missing from caps, or all with caps None, are bounded by k
-    itself (no cap).  Output is in
-    graded-lex ascending order (``Monomial.order_key``).
+    itself (no cap).  Output is in graded-lex ascending order
+    (``_order_key``), sorted once.
     """
-    out = [
-        Monomial._trusted(tuple(zip(vs, combo)), k)
-        for vs, combo in _face_compositions(cx, k, caps)
-    ]
-    out.sort(key=Monomial.order_key)
-    return out
+    out = [tuple(zip(vs, combo)) for vs, combo in _face_compositions(cx, k, caps)]
+    out.sort(key=_order_key)
+    return tuple(out)
 
 
-def standard_monomials(cx: SimplicialComplex, k: int, caps=None, filters=()) -> tuple:
-    """Degree-k standard monomials, in graded-lex order, of the
-    Stanley-Reisner ring modulo the powers x_v^caps[v] and the monomials in
-    filters: the one basis of every frame and every quotient.  Caps and
-    filters that cannot bite in degree k are left out of the cache key."""
+def standard_monomials(cx: SimplicialComplex, k: int, caps=(), filters=()) -> tuple:
+    """Exponent tuples of the degree-k standard monomials, in graded-lex
+    order, of the Stanley-Reisner ring modulo x_v^a over the (v, a) pairs
+    of caps, ascending in v as in ``ArtinianFrame.caps``, and the exponent
+    tuples in filters: the one basis of every frame and every quotient.
+    Caps and filters that cannot bite in degree k leave the cache key."""
     if k < 0:
         return ()
-    caps = tuple(sorted((v, a) for v, a in (caps or {}).items() if a <= k))
-    filters = tuple(sorted({m for m in filters if m.degree <= k}, key=Monomial.order_key))
+    caps = tuple(p for p in caps if p[1] <= k)
+    filters = tuple(sorted({f for f in filters if sum(e for _, e in f) <= k}))
     return _standard_monomials(cx, k, caps, filters)
 
 
 @lru_cache(maxsize=2048)
 def _standard_monomials(cx, k, caps: tuple, filters: tuple) -> tuple:
     monos = face_monomials(cx, k, dict(caps))
-    return tuple(m for m in monos if not any(f.divides(m) for f in filters))
+    if not filters:
+        return monos
+    return tuple(m for m in monos if all(_over(m, f) is None for f in filters))
 
 
 def _products(sources, f: Polynomial, index: dict):
-    """Per source monomial m, the (index[m*t], coefficient) pairs over the
-    terms t of f, each coefficient in ``linalg``'s normal form; distinct
-    terms give distinct products, and products missing from index are
-    zero in the quotient."""
-    terms = tuple((t, linalg._exact(c)) for t, c in f.terms.items())
+    """Per source exponent tuple m, the (index[m*t], coefficient) pairs
+    over the terms t of f, each coefficient in ``linalg``'s normal form;
+    distinct terms give distinct products, and products missing from
+    index are zero in the quotient."""
+    terms = tuple((t.exps, linalg._exact(c)) for t, c in f.terms.items())
     for m in sources:
-        yield [(i, c) for t, c in terms if (i := index.get(m.times(t))) is not None]
+        yield [(i, c) for t, c in terms if (i := index.get(_times(m, t))) is not None]
 
 
 def standard_basis(frame: ArtinianFrame, k: int):
     """Ordered monomial basis of the degree-k piece of the frame algebra."""
     if k < 0:
         raise RangeError("degree must be non-negative")
-    return list(standard_monomials(frame.complex, k, frame.cap_map))
+    return [Monomial._trusted(m, k) for m in standard_monomials(frame.complex, k, frame.caps)]
 
 
 def hilbert_function(frame: ArtinianFrame, k: int) -> int:
-    return len(standard_monomials(frame.complex, k, frame.cap_map))
+    return len(standard_monomials(frame.complex, k, frame.caps))
 
 
 def is_standard(frame: ArtinianFrame, m: Monomial) -> bool:
@@ -572,8 +598,8 @@ def multiplication_matrix(frame: ArtinianFrame, f: Polynomial, k: int) -> linalg
     foreign = set(f.variables()) - set(frame.complex.vertices)
     if foreign:
         raise PreconditionError(f"form mentions unknown variables: {sorted(foreign)}")
-    cols = standard_monomials(frame.complex, k, frame.cap_map)
-    rows = standard_monomials(frame.complex, k + d, frame.cap_map)
+    cols = standard_monomials(frame.complex, k, frame.caps)
+    rows = standard_monomials(frame.complex, k + d, frame.caps)
     index = {m: i for i, m in enumerate(rows)}
     entries = {}
     for j, products in enumerate(_products(cols, f, index)):
@@ -665,7 +691,6 @@ def multiplication_equals_hesd_log(cx: SimplicialComplex, a: int) -> HesdLogComp
         return points
 
     cols = standard_basis(frame, t)
-    rows = standard_basis(frame, t + 1)
     col_map = []
     ok = True
     seen_vids = set()
@@ -684,9 +709,7 @@ def multiplication_equals_hesd_log(cx: SimplicialComplex, a: int) -> HesdLogComp
     if ok and len(seen_vids) == len(sub.vertices):
         hesd_facets = set(sub.facets)
         seen_facets = set()
-        mult_rows = mult.row_dicts()
-        for i, m in enumerate(rows):
-            support = mult_rows[i]
+        for support in mult.row_dicts():
             if any(v != 1 for v in support.values()):
                 ok = False
                 break

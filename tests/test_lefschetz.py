@@ -147,7 +147,7 @@ class TestInverseSystem:
         basis3 = [m for m in piece.basis[0].terms] + [m for m in F.terms]
         from lefkit.monomials import face_monomials
 
-        monos = face_monomials(complex_, 3)
+        monos = [Monomial(m) for m in face_monomials(complex_, 3)]
         assert span_contains(piece.basis, F, monos)
 
     def test_annihilation_invariant(self, cx):
@@ -392,8 +392,8 @@ class TestOntoPropagation:
         eliminated = set()
         real_matrices, real_rank = IsotypicMaps.matrices, linalg.rank
 
-        def recording_matrices(self, k, orbits=False):
-            out = real_matrices(self, k, orbits)
+        def recording_matrices(self, k):
+            out = real_matrices(self, k)
             degree_of.update((id(m), k) for m in out.values())
             return out
 
@@ -869,7 +869,8 @@ def contraction_matrix_reference(complex_, extra, k):
     ``inverse_system_piece`` as the pairwise loop built them: division
     through a dict of exponents, entries summed as ``Fraction`` and
     checked by the constructor."""
-    _, _, cols, others = lefschetz._graded_basis(complex_, tuple(extra), k)
+    _, _, basis, others = lefschetz._graded_basis(complex_, tuple(extra), k)
+    cols = [Monomial(b) for b in basis]
     row_index, entries = {}, {}
     for g in others:
         for j, b in enumerate(cols):
@@ -917,9 +918,11 @@ class TestTrustedMatrices:
             Polynomial({Monomial({vs[0]: 1}): Fraction(1, 2), Monomial({vs[-1]: 1}): -3}),
             Polynomial({Monomial({vs[0]: 1, vs[1]: 1}): Fraction(2, 3), Monomial({vs[1]: 2}): 4}),
         ]
-        maps = IsotypicMaps(frame)
+        maps = IsotypicMaps(frame), every_block(frame)
         for k in range(frame.socle_degree()):
-            assert_normal_form(maps.matrix(k))
+            for m in maps:
+                for diagonal in m.matrices(k).values():
+                    assert_normal_form(diagonal)
             for f in forms:
                 mat = multiplication_matrix(frame, f, k)
                 assert_normal_form(mat)
@@ -940,11 +943,27 @@ class TestTrustedMatrices:
 # --- ×L in the symmetry-adapted bases of twin swaps ----------------------------
 
 
+def every_block(frame):
+    """``IsotypicMaps`` of the frame with no classes of pairs: every
+    character is its own orbit, so matrix 1 of ``matrices(k)`` lays every
+    block along its diagonal."""
+    maps = IsotypicMaps(frame)
+    maps._classes = ()
+    return maps
+
+
+def layout(maps, k):
+    """Each character filed in degree k mapped to its basis, each
+    representative mapped to its position along the diagonal."""
+    return {s: basis for s, (_, basis) in maps._layout(k)[0].items()}
+
+
 def split_blocks(maps, k):
-    """The blocks of ``maps.matrix(k)``, as (character, matrix) pairs,
-    after checking that every entry lies in one of them."""
-    whole = maps.matrix(k)
-    src, dst = maps.layout(k), maps.layout(k + 1)
+    """The blocks of matrix 1 of ``maps.matrices(k)``, maps from
+    ``every_block``, as (character, matrix) pairs, after checking that
+    every entry lies in one of them."""
+    whole = maps.matrices(k)[1]
+    src, dst = layout(maps, k), layout(maps, k + 1)
     out = []
     row = col = 0
     for s in sorted(src.keys() | dst.keys()):
@@ -962,7 +981,7 @@ def check_blocks(frame):
     """Block dimensions against the Hilbert function and block ranks
     against direct elimination, in every degree below the socle; without
     twins the one block is the direct matrix."""
-    maps = IsotypicMaps(frame)
+    maps = every_block(frame)
     L = frame.linear_form()
     for k in range(frame.socle_degree()):
         blocks = split_blocks(maps, k)
@@ -1109,7 +1128,7 @@ def orbit_sums(maps, k):
     monos = standard_basis(maps.frame, k)
     index = {m.exps: i for i, m in enumerate(monos)}
     entries = {}
-    for s, basis in maps.layout(k).items():
+    for s, basis in layout(maps, k).items():
         for r, col in basis.items():
             for g in range(1 << len(maps.pairs)):
                 e = dict(r)
@@ -1125,13 +1144,13 @@ def orbit_sums(maps, k):
 def check_change_of_basis(frame):
     """×L times the orbit sums of degree k equals the orbit sums of degree
     k + 1 times the block-diagonal matrix, and the orbit sums are bases."""
-    maps = IsotypicMaps(frame)
+    maps = every_block(frame)
     L = frame.linear_form()
     for k in range(frame.socle_degree() + 1):
         sums = orbit_sums(maps, k)
         assert linalg.rank(sums) == sums.rows, (frame, k)
         if k < frame.socle_degree():
-            blocks = maps.matrix(k)
+            blocks = maps.matrices(k)[1]
             assert set(blocks.entries.values()) <= {1, 2}, (frame, k)
             direct = multiplication_matrix(frame, L, k)
             assert direct @ sums == orbit_sums(maps, k + 1) @ blocks, (frame, k)
@@ -1190,8 +1209,9 @@ def check_orbits(frame):
         assert maps.orbit(0) == (0, 1)
         return
     L = frame.linear_form()
+    every = every_block(frame)
     for k in range(frame.socle_degree()):
-        blocks = dict(split_blocks(maps, k))
+        blocks = dict(split_blocks(every, k))
         ranks = {s: linalg.rank(b) for s, b in blocks.items()}
         members = Counter()
         for s, block in blocks.items():
@@ -1203,7 +1223,7 @@ def check_orbits(frame):
                 frame, k, s)
             members[least] += 1
         assert all(members[s] == maps.orbit(s)[1] for s in members), (frame, k)
-        diagonals = maps.matrices(k, True)
+        diagonals = maps.matrices(k)
         assert sorted(diagonals) == sorted({maps.orbit(s)[1] for s in members}), (frame, k)
         for w, diagonal in diagonals.items():
             chosen = [blocks[s] for s in sorted(members) if maps.orbit(s)[1] == w]
@@ -1296,3 +1316,26 @@ class TestCharacterOrbits:
     def test_slp_reports_match_reference_with_planted_twins(self, frame, rng):
         frame = relabelled(frame, rng)
         assert slp_check(frame) == slp_reference(frame)
+
+
+class TestNoMonomials:
+    """``wlp_check`` and ``slp_check`` stay on exponent tuples."""
+
+    def test_wlp_and_slp_build_no_monomial(self, cx, monkeypatch):
+        frames = [ArtinianFrame(cx("OCT"), 3), ArtinianFrame(cx("BALL10"), 2),
+                  ArtinianFrame(cx("PATH3"), 3), ArtinianFrame(K33, 3)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Monomial was built")
+
+        _standard_monomials.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Monomial, "__init__", refuse)
+            patch.setattr(Monomial, "_trusted", classmethod(refuse))
+            with pytest.raises(AssertionError, match="Monomial"):
+                standard_basis(frames[0], 1)
+            reports = [(wlp_check(frame), slp_check(frame)) for frame in frames]
+        for frame, (wlp, slp) in zip(frames, reports):
+            direct = direct_ranks(frame, frame.linear_form(), range(wlp.socle_degree))
+            assert [p.rank for p in wlp.per_degree] == direct, frame
+            assert slp == slp_reference(frame), frame

@@ -2,7 +2,7 @@
 
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +17,8 @@ from lefkit.errors import (
     ParseError,
     RangeError,
 )
+from lefkit.complexes import _face_compositions
+from lefkit.monomials import _over, _times
 from lefkit.monomials import (
     ArtinianFrame,
     IdealPresentation,
@@ -118,6 +120,27 @@ class TestMonomialProduct:
         assert got.degree == expected.degree
         assert hash(got) == hash(expected)
         assert got == expected
+
+
+def exps_of(exps: dict) -> tuple:
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+class TestProductWalk:
+    """``_times`` merges two exponent tuples into their product's."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(exponent_maps, exponent_maps)
+    @example({}, {})
+    @example({1: 2}, {1: 3})
+    @example({2: 1}, {1: 1, 3: 1})
+    @example({1: 1, 5: 2}, {3: 4})
+    def test_times_against_a_dict_sum(self, a, b):
+        expected = exps_of({v: a.get(v, 0) + b.get(v, 0) for v in set(a) | set(b)})
+        x, y = exps_of(a), exps_of(b)
+        assert _times(x, y) == expected
+        assert _times(y, x) == expected
+        assert _over(_times(x, y), y) == x
 
 
 def divides_reference(a, b):
@@ -632,26 +655,82 @@ class TestMonomialOrder:
     def test_face_monomials_follow_the_reference_order(self, cx, name):
         complex_ = cx(name)
         for k in range(4):
-            monos = face_monomials(complex_, k, {v: 3 for v in complex_.vertices})
+            caps = {v: 3 for v in complex_.vertices}
+            monos = [Monomial(m) for m in face_monomials(complex_, k, caps)]
             assert monos == sorted(monos, key=lambda m: reference_graded_key(m, complex_.vertices))
+
+
+def reference_face_monomials(cx, k, caps):
+    """The enumeration as ``Monomial`` objects sorted by ``order_key``."""
+    out = [Monomial._trusted(tuple(zip(vs, combo)), k)
+           for vs, combo in _face_compositions(cx, k, caps)]
+    out.sort(key=Monomial.order_key)
+    return out
+
+
+def brute_force_face_monomials(cx, k, caps):
+    """Every exponent tuple of degree k on a face, exponents below caps,
+    by trying every exponent vector on every face."""
+    caps = caps or {}
+    out = set()
+    for face in {frozenset()} | set(cx.all_faces()):
+        vs = sorted(face)
+        ranges = [range(1, min(k, caps.get(v, k + 1) - 1) + 1) for v in vs]
+        for combo in product(*ranges):
+            if sum(combo) == k:
+                out.add(tuple(zip(vs, combo)))
+    return out
+
+
+@st.composite
+def capped_enumerations(draw):
+    """A small complex with its vertex ids spread out, a degree, and caps:
+    None, or on some vertices from 2 to past the degree."""
+    base = draw(small_complexes())
+    ids = draw(st.lists(st.integers(1, 60), min_size=len(base.vertices),
+                        max_size=len(base.vertices), unique=True))
+    name = dict(zip(base.vertices, ids))
+    complex_ = from_facets([{name[v] for v in f} for f in base.facets])
+    k = draw(st.integers(0, 4))
+    caps = draw(st.none() | st.dictionaries(st.sampled_from(complex_.vertices), st.integers(2, k + 2)))
+    return complex_, k, caps
+
+
+class TestTupleBases:
+    """The exponent-tuple bases against the ``Monomial`` enumeration they
+    replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(capped_enumerations())
+    @example((from_facets([{1, 2, 3}, {3, 4}, {5}]), 3, None))
+    @example((from_facets([{7, 2}, {40}, {2, 9, 11}]), 2, {2: 5, 40: 2}))
+    def test_order_and_contents(self, case):
+        complex_, k, caps = case
+        got = face_monomials(complex_, k, caps)
+        assert got == tuple(m.exps for m in reference_face_monomials(complex_, k, caps))
+        assert set(got) == brute_force_face_monomials(complex_, k, caps)
+        assert standard_monomials(complex_, k, tuple(sorted((caps or {}).items()))) == got
 
 
 class TestStandardMonomials:
     def test_caps_that_cannot_bite_share_the_uncapped_entry(self, cx):
         oct_ = cx("OCT")
-        assert standard_monomials(oct_, 2, {1: 5, 2: 3}) is standard_monomials(oct_, 2)
-        assert standard_monomials(oct_, 2, {1: 2}) is not standard_monomials(oct_, 2)
+        assert standard_monomials(oct_, 2, ((1, 5), (2, 3))) is standard_monomials(oct_, 2)
+        assert standard_monomials(oct_, 2, ((1, 2),)) is not standard_monomials(oct_, 2)
+        assert standard_monomials(oct_, 2, ArtinianFrame(oct_, 3).caps) is standard_monomials(oct_, 2)
         assert standard_monomials(oct_, -1) == ()
 
     def test_filters_drop_multiples(self, cx):
         oct_ = cx("OCT")
         x1x3 = Monomial({1: 1, 3: 1})
-        kept = standard_monomials(oct_, 3, {}, [x1x3])
-        assert kept == tuple(m for m in standard_monomials(oct_, 3) if not x1x3.divides(m))
+        kept = standard_monomials(oct_, 3, (), [x1x3.exps])
+        assert kept == tuple(
+            m for m in standard_monomials(oct_, 3) if not x1x3.divides(Monomial(m)))
         assert len(kept) < len(standard_monomials(oct_, 3))
 
     @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
     def test_frame_bases_are_the_capped_face_monomials(self, cx, name):
         frame = ArtinianFrame(cx(name), 3)
         for k in range(frame.socle_degree() + 2):
-            assert standard_basis(frame, k) == face_monomials(frame.complex, k, frame.cap_map)
+            assert tuple(m.exps for m in standard_basis(frame, k)) == face_monomials(
+                frame.complex, k, frame.cap_map)

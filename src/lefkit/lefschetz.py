@@ -53,6 +53,7 @@ from .monomials import (
     contract,
     face_monomials,  # unused here; benchmarks/selftest.py checks the tracer wraps this binding
     hilbert_function,
+    hilbert_series,
     multiplication_matrix,
     standard_basis,
     standard_monomials,
@@ -444,7 +445,7 @@ class IsotypicMaps:
         # monomial 1 (key None) takes every x_v, each kept as its exps
         self._candidates = {v: tuple(((w, 1),) for w in sorted(c)) for v, c in closed.items()}
         self._candidates[None] = tuple(((w, 1),) for w in cx.vertices)
-        self._next = {}  # the layout of degree k + 1, kept for the map from it
+        self._layouts = {}  # the layouts of the last map's two degrees
 
     def orbit(self, s: int) -> tuple:
         """The least character in the orbit of S, and the orbit's size."""
@@ -515,8 +516,14 @@ class IsotypicMaps:
         """×L from degree k to k + 1, as {w: matrix}: the blocks of the
         least character of each orbit of size w lie along the diagonal of
         matrix w, characters ascending."""
-        src, src_lengths = self._next.pop(k, None) or self._layout(k)
-        dst, dst_lengths = self._next[k + 1] = self._layout(k + 1)
+        # degree k + 1 is shared with the next map up, degree k with the
+        # next map down; the other layout is dropped before one is built
+        kept = {d: self._layouts[d] for d in (k, k + 1) if d in self._layouts}
+        self._layouts = kept
+        for d in (k, k + 1):
+            if d not in kept:
+                kept[d] = self._layout(d)
+        (src, src_lengths), (dst, dst_lengths) = kept[k], kept[k + 1]
         reps = dst[0][1] if dst else {}  # every representative lies in the trivial block
         represent = self._representative if self.pairs else (lambda exps: exps)
         candidates = self._candidates
@@ -554,20 +561,45 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     Each rank is that of ×L in the symmetry-adapted bases of the frame's
     twin swaps (``IsotypicMaps``): one block per orbit of characters,
     its rank weighted by the orbit's size, and one elimination per orbit
-    size.  The dimensions come from ``hilbert_function``.  The algebra
-    is generated in degree 1, so once L A_k = A_{k+1} every later map is
-    onto as well (A_{k+2} = A_1 L A_k = L A_{k+1}); those ranks are set
-    to the target dimension without elimination.
+    size.  The dimensions are counted (``hilbert_series``), so the basis
+    of a degree is enumerated only if its map is eliminated.  Two rules set
+    ranks the theory decides, without elimination.
+
+    Down: if ×L is injective on A_{k+1} and A_k holds no socle
+    (``ArtinianFrame.socle_degrees``), it is injective on A_k.  For f in
+    A_k with Lf = 0, L(x_v f) = x_v Lf = 0, so x_v f = 0 for every v, so
+    f is in the socle, so f = 0 (Migliore–Miró-Roig–Nagel, Trans. AMS 363
+    (2011), Prop. 2.1).  So the degrees with dim A_k <= dim A_{k+1} are
+    taken first, descending, eliminating until one is injective and
+    setting the rank to dim A_k below it until the next socle degree.
+
+    Up: the algebra is generated in degree 1, so once L A_k = A_{k+1}
+    every later map is onto as well (A_{k+2} = A_1 L A_k = L A_{k+1}).
+    The degrees still open are taken ascending, and after the first onto
+    map their ranks are set to the target dimension.
     """
     maps = IsotypicMaps(frame)
     socle = frame.socle_degree()
-    per = []
+    holds_socle = frame.socle_degrees()
+    dims = hilbert_series(frame)
+    ranks = [None] * socle
+    injective = False  # on A_{k+1}
+    for k in reversed(range(socle)):
+        if dims[k] > dims[k + 1]:
+            injective = False
+        elif injective and k not in holds_socle:
+            ranks[k] = dims[k]
+        else:
+            ranks[k] = _weighted_rank(maps.matrices(k))
+            injective = ranks[k] == dims[k]
     onto = False
-    b = hilbert_function(frame, 0)
     for k in range(socle):
-        a, b = b, hilbert_function(frame, k + 1)
-        r = b if onto else _weighted_rank(maps.matrices(k))
-        onto = r == b
+        if ranks[k] is None:
+            ranks[k] = dims[k + 1] if onto else _weighted_rank(maps.matrices(k))
+        onto = ranks[k] == dims[k + 1]
+    per = []
+    for k, r in enumerate(ranks):
+        a, b = dims[k], dims[k + 1]
         full = r == min(a, b)
         per.append(PerDegree(k, a, b, r, full, "none" if full else _failure_mode(a, b, r)))
     return WlpReport(all(p.full_rank for p in per), socle, tuple(per))
@@ -588,7 +620,7 @@ def slp_check(frame: ArtinianFrame) -> SlpReport:
     """
     maps = IsotypicMaps(frame)
     socle = frame.socle_degree()
-    dims = [hilbert_function(frame, k) for k in range(socle + 1)]
+    dims = hilbert_series(frame)
     steps = [maps.matrices(k) for k in range(socle)]
     onto = set()  # powers j onto from some lower degree
     per = []

@@ -294,7 +294,10 @@ def _eliminate(rows, modulus=None):
 
 
 def rank(matrix: ExactMatrix) -> int:
-    """Exact rank over the rationals."""
+    """Exact rank over the rationals, eliminating the shorter side: a
+    matrix with more rows than columns by the rows of its transpose."""
+    if matrix.rows > matrix.cols:
+        matrix = matrix.transpose()
     pivots, _ = _eliminate(_integer_rows(matrix))
     return len(pivots)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import linalg, subdivision
-from .complexes import SimplicialComplex, _face_compositions, faces
+from .complexes import SimplicialComplex, _all_faces, _face_compositions, faces
 from .errors import (
     EquigenerationError,
     HomogeneityError,
@@ -492,8 +493,23 @@ class ArtinianFrame:
         return dict(self.caps)
 
     def socle_degree(self) -> int:
+        return max(self.socle_degrees())
+
+    def socle_degrees(self) -> frozenset:
+        """The degrees k in which the socle {f : x_v f = 0 for every v} of
+        A = K[Δ]/(x_v^{a_v}) meets A_k.
+
+        A is graded by exponent vectors and the x_v are homogeneous, so the
+        socle is spanned by the standard monomials in it.  A standard
+        monomial m lies in it iff every x_v m is non-standard.  For v in
+        supp(m) that says e_v = a_v − 1.  For v outside supp(m), x_v m is
+        non-standard only if supp(m) ∪ {v} is a non-face (a_v ≥ 2), and for
+        every such v that says supp(m) is a facet.  So the socle monomials
+        are the products of x_v^{a_v − 1} over v in F, one per facet F, in
+        degree Σ_{v∈F} (a_v − 1).
+        """
         caps = self.cap_map
-        return max(sum(caps[v] - 1 for v in f) for f in self.complex.facets)
+        return frozenset(sum(caps[v] - 1 for v in f) for f in self.complex.facets)
 
     def linear_form(self) -> Polynomial:
         return sum_of_variables(self.complex.vertices)
@@ -569,6 +585,28 @@ def standard_basis(frame: ArtinianFrame, k: int):
 
 def hilbert_function(frame: ArtinianFrame, k: int) -> int:
     return len(standard_monomials(frame.complex, k, frame.caps))
+
+
+def hilbert_series(frame: ArtinianFrame) -> tuple:
+    """``hilbert_function(frame, k)`` for k from 0 to the socle degree,
+    counted without enumerating a basis.  The standard monomials with
+    support F are counted by the coefficients of the product of
+    t + t^2 + ... + t^(a_v - 1) over v in F; faces with the same caps
+    share one product."""
+    caps = frame.cap_map
+    shapes = Counter(tuple(sorted(caps[v] for v in f)) for f in _all_faces(frame.complex))
+    total = [0] * (frame.socle_degree() + 1)
+    for shape, n in shapes.items():
+        series = [1]
+        for a in shape:
+            grown = [0] * (len(series) + a - 1)
+            for i, c in enumerate(series):
+                for e in range(i + 1, i + a):
+                    grown[e] += c
+            series = grown
+        for k, c in enumerate(series):
+            total[k] += n * c
+    return tuple(total)
 
 
 def is_standard(frame: ArtinianFrame, m: Monomial) -> bool:

@@ -39,7 +39,7 @@ from lefkit.lefschetz import (
     wlp_check,
 )
 from lefkit.lefschetz import IsotypicMaps, twin_pairs
-from lefkit.monomials import _standard_monomials
+from lefkit.monomials import _standard_monomials, _times, standard_monomials
 from lefkit.monomials import (
     ArtinianFrame,
     Monomial,
@@ -47,6 +47,7 @@ from lefkit.monomials import (
     contract,
     divided_power_rescale,
     hilbert_function,
+    hilbert_series,
     multiplication_matrix,
     parse_polynomial,
     standard_basis,
@@ -386,27 +387,172 @@ class TestOntoPropagation:
             assert [p.rank for p in report.per_degree] == direct, frame
 
     def test_onto_degrees_are_not_eliminated(self, cx, monkeypatch):
-        # ranks are taken per orbit size, so each ranked matrix is traced
-        # back to the degree of the ×L map it is a part of
-        degree_of = {}
-        eliminated = set()
-        real_matrices, real_rank = IsotypicMaps.matrices, linalg.rank
-
-        def recording_matrices(self, k):
-            out = real_matrices(self, k)
-            degree_of.update((id(m), k) for m in out.values())
-            return out
-
-        def recording_rank(matrix):
-            eliminated.add(degree_of[id(matrix)])
-            return real_rank(matrix)
-
-        monkeypatch.setattr(IsotypicMaps, "matrices", recording_matrices)
-        monkeypatch.setattr(linalg, "rank", recording_rank)
-        report = wlp_check(ArtinianFrame(cx("OCT"), 3))
+        # OCT caps 3 has dims 1, 6, 18, 32, 36, 24, 8: going down, 3 fails
+        # injectivity (rank 31) and 2 is injective, so 0 and 1 are
+        # decided; going up, 4 is the first onto degree, so 5 is decided
+        report, eliminated = eliminated_degrees(monkeypatch, ArtinianFrame(cx("OCT"), 3))
         first_onto = next(p.k for p in report.per_degree if p.rank == p.dim_to)
-        assert first_onto < report.socle_degree - 1
-        assert eliminated == set(range(first_onto + 1))
+        assert first_onto == 4 < report.socle_degree - 1
+        assert eliminated == {2, 3, 4}
+
+
+def eliminated_degrees(monkeypatch, frame):
+    """``wlp_check(frame)`` and the set of degrees whose ×L it eliminated.
+    Ranks are taken per orbit size, so each ranked matrix is traced back
+    to the degree of the ×L map it is a part of."""
+    degree_of = {}
+    eliminated = set()
+    real_matrices, real_rank = IsotypicMaps.matrices, linalg.rank
+
+    def recording_matrices(self, k):
+        out = real_matrices(self, k)
+        degree_of.update((id(m), k) for m in out.values())
+        return out
+
+    def recording_rank(matrix):
+        eliminated.add(degree_of[id(matrix)])
+        return real_rank(matrix)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IsotypicMaps, "matrices", recording_matrices)
+        patch.setattr(linalg, "rank", recording_rank)
+        report = wlp_check(frame)
+    return report, eliminated
+
+
+def brute_force_socle_degrees(frame):
+    """The degrees of the standard monomials m with every x_v m
+    non-standard, read from the bases degree by degree until they end."""
+    out = set()
+    below = standard_monomials(frame.complex, 0, frame.caps)
+    k = 0
+    while below:
+        above = set(standard_monomials(frame.complex, k + 1, frame.caps))
+        if any(all(_times(m, ((v, 1),)) not in above for v in frame.complex.vertices)
+               for m in below):
+            out.add(k)
+        below, k = tuple(above), k + 1
+    return out
+
+
+@st.composite
+def capped_frames(draw):
+    """Small complexes, non-pure, with isolated vertices and ids spread
+    out, each vertex with its own cap from 2 to 5."""
+    n = draw(st.integers(1, 6))
+    facet = st.frozensets(st.integers(1, n), min_size=1, max_size=3)
+    facets = draw(st.lists(facet, min_size=1, max_size=5))
+    facets += [{n + i} for i in range(draw(st.integers(0, 2)))]
+    vs = sorted(set().union(*facets))
+    name = dict(zip(vs, draw(st.lists(st.integers(1, 60), min_size=len(vs),
+                                      max_size=len(vs), unique=True))))
+    complex_ = from_facets([{name[v] for v in f} for f in facets])
+    caps = {v: draw(st.integers(2, 5)) for v in complex_.vertices}
+    return ArtinianFrame(complex_, caps)
+
+
+def check_direct(frame):
+    report = wlp_check(frame)
+    direct = direct_ranks(frame, frame.linear_form(), range(report.socle_degree))
+    assert [p.rank for p in report.per_degree] == direct, frame
+    return report
+
+
+# the edge {1, 2} at caps 5 and the isolated vertex 3 at cap 2: x3 is
+# socle in degree 1, so ×L is not injective there though it is on A_2
+EDGE_AND_POINT = ArtinianFrame(from_facets([{1, 2}, {3}]), {1: 5, 2: 5, 3: 2})
+# ×L fails injectivity on A_2 (a socle degree, dims 6 -> 6) and on A_1
+# (no socle, dims 5 -> 6), so no rank may be passed down from degree 2
+TWO_FAILURES = ArtinianFrame(from_facets([{1, 3}, {2, 4, 6}]), {1: 2, 2: 3, 3: 2, 4: 2, 6: 4})
+
+
+class TestSocleRule:
+    """Ranks passed down from an injective degree to degrees without
+    socle, against direct elimination."""
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_relabelled_fixture_ranks_match_direct(self, cx, name):
+        rng = random.Random(name)
+        for caps in (2, 3, 4, 5):
+            frame = ArtinianFrame(cx(name), caps)
+            direct = direct_ranks(frame, frame.linear_form(), range(frame.socle_degree()))
+            report = wlp_check(relabelled(frame, rng))
+            assert [p.rank for p in report.per_degree] == direct, (name, caps)
+
+    def test_relabelled_random_graph_ranks_match_direct(self):
+        rng = random.Random(2013)
+        for frame in random_graph_frames(2013, (2, 3, 4, 5)):
+            check_direct(relabelled(frame, rng))
+
+    @settings(max_examples=150, deadline=None)
+    @given(capped_frames())
+    @example(EDGE_AND_POINT)
+    @example(TWO_FAILURES)
+    def test_mixed_caps_and_non_pure_ranks_match_direct(self, frame):
+        check_direct(frame)
+
+    def test_isolated_socle_stops_the_chain(self):
+        for frame in (EDGE_AND_POINT, relabelled(EDGE_AND_POINT, random.Random(5))):
+            assert frame.socle_degrees() == {1, 8}
+            report = check_direct(frame)
+            p = report.per_degree[1]
+            assert (p.dim_from, p.dim_to, p.rank) == (3, 3, 2)
+            assert report.per_degree[2].rank == report.per_degree[2].dim_from == 3
+
+    def test_no_rank_passes_down_from_a_failure(self):
+        report = check_direct(TWO_FAILURES)
+        assert TWO_FAILURES.socle_degrees() == {2, 6}
+        assert [(p.dim_from, p.rank) for p in report.per_degree[:3]] == [(1, 1), (5, 4), (6, 5)]
+
+    def test_ball10_eliminates_three_degrees(self, cx, monkeypatch):
+        # dims rise to 1134 in degree 8; 7 is injective and no degree below
+        # holds socle, 8 is open (it fails surjectivity, 1134 -> 1076) and
+        # 9 is the first onto degree
+        report, eliminated = eliminated_degrees(monkeypatch, ArtinianFrame(cx("BALL10"), 4))
+        assert [(p.k, p.rank) for p in report.failures()] == [(8, 1069)]
+        assert eliminated == {7, 8, 9}
+
+    @settings(max_examples=150, deadline=None)
+    @given(capped_frames())
+    @example(EDGE_AND_POINT)
+    def test_socle_degrees_match_brute_force(self, frame):
+        expected = brute_force_socle_degrees(frame)
+        assert frame.socle_degrees() == expected
+        assert frame.socle_degree() == max(expected)
+
+    def test_layouts_serve_both_orders(self, cx):
+        frame = ArtinianFrame(cx("OCT"), 4)
+        top = frame.socle_degree()
+        fresh = {k: IsotypicMaps(frame).matrices(k) for k in range(top)}
+        maps = IsotypicMaps(frame)
+        built = []
+        real_layout = maps._layout
+        maps._layout = lambda k: built.append(k) or real_layout(k)
+        order = [4, 3, 2, 3, 4, 5, 0, 1, top - 1]
+        for k in order:
+            assert maps.matrices(k) == fresh[k], k
+            assert sorted(maps._layouts) == [k, k + 1]
+        # each step to a neighbouring degree builds one layout
+        assert built == [4, 5, 3, 2, 4, 5, 6, 0, 1, 2, top - 1, top]
+
+
+class TestHilbertSeries:
+    """Dimensions counted from the faces against the enumerated bases."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(capped_frames())
+    @example(EDGE_AND_POINT)
+    def test_matches_the_bases(self, frame):
+        top = frame.socle_degree()
+        assert hilbert_series(frame) == tuple(hilbert_function(frame, k) for k in range(top + 1))
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_fixtures_match_the_bases(self, cx, name):
+        for caps in (2, 3, 4):
+            frame = ArtinianFrame(cx(name), caps)
+            top = frame.socle_degree()
+            expected = tuple(hilbert_function(frame, k) for k in range(top + 1))
+            assert hilbert_series(frame) == expected, (name, caps)
 
 
 def slp_reference(frame):

@@ -365,6 +365,37 @@ def rational_matrices(draw):
     return _sparse(rows, cols, _dense(draw, rows, cols))
 
 
+def fraction_rank(data):
+    """Rank by plain Gaussian elimination over Fractions."""
+    rows = [list(row) for row in data]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestOrientation:
+    """``rank`` eliminates the rows of a tall matrix's transpose; both
+    orientations of the integer lines give the rank."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(rational_matrices(), small_matrices()))
+    @example(ExactMatrix.from_dense([[Fraction(1, 2)], [Fraction(1, 3)], [1]]))
+    def test_rank_of_either_orientation(self, m):
+        expected = fraction_rank([[Fraction(x) for x in row] for row in m.to_dense()])
+        assert rank(m) == rank(m.transpose()) == expected
+        for side in (m, m.transpose()):
+            pivots, _ = _eliminate(_integer_rows(side))
+            assert len(pivots) == expected
+
+
 def dense_product(a, b, m, n, p):
     return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(p)]
             for i in range(m)]

@@ -410,14 +410,26 @@ class IsotypicMaps:
     characters that meet its balanced mask, and the others, over the
     representatives in standard-monomial order, are the basis of block S.
 
+    The representatives are the standard monomials of Δ' = Δ|V∖B, B the
+    second twins, under the caps of V∖B (``orbit_frame``).  Twins are
+    never in one face (one would lie in the other's link), so a standard
+    monomial holds a, b or neither, and a representative holds a or
+    neither: its support misses B.  A face missing B is a face of Δ', and
+    a face of Δ' is a face f - B of Δ, so the monomials supported off B
+    are standard in Δ and in Δ' alike.  Both bases are listed in one
+    graded-lex order, so the representatives come in standard-monomial
+    order, and the unbalanced pairs of r are the first twins it holds.
+
     In these bases each product x_v r adds 1 to the entry of its target's
-    representative q in block S.  Twins are never adjacent, so a standard
-    monomial has e_a = 0 or e_b = 0 on every pair, and its balanced pairs
-    are those with e_a = e_b = 0.  So x_v r can unbalance a pair of r but
+    representative q in block S.  A standard monomial is balanced on a
+    pair only where e_a = e_b = 0, so x_v r can unbalance a pair of r but
     never balance one: q's balanced mask lies in r's and misses S, and q
     is in the basis of block S.  The general entry (-1)^|h & S|, h the
     swaps taking q to x_v r, is +1 here, since h only holds pairs where r
-    is balanced.  Entries are 1, or 2 where x_a r and x_b r share an orbit.
+    is balanced.  For v in B, x_v r is standard only if r misses v's twin
+    a (equal links), and then x_v r and x_a r share an orbit.  So the
+    products are taken on Δ': x_v r for v in V∖B, with entry 2 where v is
+    a first twin missing from r, and 1 otherwise.
 
     An automorphism that permutes the pairs and fixes L maps block S onto
     a similar block, so the blocks of one orbit of characters have equal
@@ -436,15 +448,24 @@ class IsotypicMaps:
         self.frame = frame
         self.pairs = twin_pairs(frame)
         self._classes = _pair_classes(frame, self.pairs)
-        cx = frame.complex
+        second = {b for _, b in self.pairs}
+        self.orbit_frame = frame if not second else ArtinianFrame(
+            SimplicialComplex([f - second for f in frame.complex.facets]),
+            {v: a for v, a in frame.caps if v not in second})
+        self._bits = {a: 1 << bit for bit, (a, _) in enumerate(self.pairs)}
+        cx = self.orbit_frame.complex
         closed = {v: {v} for v in cx.vertices}
         for f in cx.facets:
             for v in f:
                 closed[v].update(f)
         # x_v m can be standard only for v next to every vertex of m; the
-        # monomial 1 (key None) takes every x_v, each kept as its exps
-        self._candidates = {v: tuple(((w, 1),) for w in sorted(c)) for v, c in closed.items()}
-        self._candidates[None] = tuple(((w, 1),) for w in cx.vertices)
+        # monomial 1 (key None) takes every x_v, each kept as its exps and
+        # its bit if v is a first twin
+        bits = self._bits
+        self._candidates = {
+            v: tuple((((w, 1),), bits.get(w, 0)) for w in sorted(c)) for v, c in closed.items()
+        }
+        self._candidates[None] = tuple((((w, 1),), bits.get(w, 0)) for w in cx.vertices)
         self._layouts = {}  # the layouts of the last map's two degrees
 
     def orbit(self, s: int) -> tuple:
@@ -460,16 +481,13 @@ class IsotypicMaps:
             size *= math.comb(len(bits), n)
         return least, size
 
-    def _representative(self, exps):
-        """The orbit representative of a monomial's exponent pairs."""
-        e = dict(exps)
-        flipped = False
-        for a, b in self.pairs:
-            ea, eb = e.get(a, 0), e.get(b, 0)
-            if ea < eb:
-                e[a], e[b] = eb, ea
-                flipped = True
-        return tuple(sorted((v, x) for v, x in e.items() if x)) if flipped else exps
+    def _unbalanced(self, r) -> int:
+        """The unbalanced mask of a representative: its first twins."""
+        bits = self._bits
+        free = 0
+        for v, _ in r:
+            free |= bits.get(v, 0)
+        return free
 
     def _layout(self, k: int) -> tuple:
         """The least character S of each orbit of size w mapped to (w,
@@ -480,29 +498,21 @@ class IsotypicMaps:
         its own orbit, so its basis, every representative, is there."""
         bases = {}
         filed = {}  # unbalanced mask -> the characters its monomials are filed under
-        for m in standard_monomials(self.frame.complex, k, self.frame.caps):
-            e = dict(m) if self.pairs else None
-            free = 0  # the unbalanced pairs
-            for bit, (a, b) in enumerate(self.pairs):
-                ea, eb = e.get(a, 0), e.get(b, 0)
-                if ea < eb:
-                    break  # not a representative
-                if ea > eb:
-                    free |= 1 << bit
-            else:
-                chars = filed.get(free)
-                if chars is None:
-                    # the characters trivial on the stabiliser: submasks of free
-                    chars, s = [], free
-                    while True:
-                        if self.orbit(s)[0] == s:
-                            chars.append(s)
-                        if not s:
-                            break
-                        s = (s - 1) & free
-                    filed[free] = chars
-                for s in chars:
-                    bases.setdefault(s, []).append(m)
+        for r in standard_monomials(self.orbit_frame.complex, k, self.orbit_frame.caps):
+            free = self._unbalanced(r) if self.pairs else 0
+            chars = filed.get(free)
+            if chars is None:
+                # the characters trivial on the stabiliser: submasks of free
+                chars, s = [], free
+                while True:
+                    if self.orbit(s)[0] == s:
+                        chars.append(s)
+                    if not s:
+                        break
+                    s = (s - 1) & free
+                filed[free] = chars
+            for s in chars:
+                bases.setdefault(s, []).append(r)
         out = {}
         lengths = {}
         for s in sorted(bases):
@@ -525,7 +535,6 @@ class IsotypicMaps:
                 kept[d] = self._layout(d)
         (src, src_lengths), (dst, dst_lengths) = kept[k], kept[k + 1]
         reps = dst[0][1] if dst else {}  # every representative lies in the trivial block
-        represent = self._representative if self.pairs else (lambda exps: exps)
         candidates = self._candidates
         products = {}
         diagonals = {w: {} for w in src_lengths.keys() | dst_lengths.keys()}
@@ -535,13 +544,16 @@ class IsotypicMaps:
             for r, j in cols.items():
                 targets = products.get(r)
                 if targets is None:
+                    free = self._unbalanced(r) if self.pairs else 0
+                    # x_v r and x_b r share an orbit where v is a first
+                    # twin missing from r, b its twin
                     targets = products[r] = [
-                        q for x in candidates[r[0][0] if r else None]
-                        if (q := represent(_times(r, x))) in reps
+                        (q, 2 if bit & ~free else 1)
+                        for x, bit in candidates[r[0][0] if r else None]
+                        if (q := _times(r, x)) in reps
                     ]
-                for q in targets:
-                    i = rows[q]
-                    entries[i, j] = entries.get((i, j), 0) + 1
+                for q, c in targets:
+                    entries[rows[q], j] = c
         return {
             w: linalg.ExactMatrix._trusted(dst_lengths.get(w, 0), src_lengths.get(w, 0), entries)
             for w, entries in diagonals.items()
@@ -575,28 +587,48 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
 
     Up: the algebra is generated in degree 1, so once L A_k = A_{k+1}
     every later map is onto as well (A_{k+2} = A_1 L A_k = L A_{k+1}).
-    The degrees still open are taken ascending, and after the first onto
-    map their ranks are set to the target dimension.
+    The degrees with dim A_k > dim A_{k+1} are taken ascending, once the
+    map below them is ranked, and after an onto map their ranks are set
+    to the target dimension.
+
+    Order: ``IsotypicMaps`` holds the layouts of the last map's two
+    degrees, so a walk that turns builds one of them again.  Two facts
+    show ×L is not injective on A_k before any elimination: A_k holds
+    socle, which L kills, or A_k has more orbits of standard monomials
+    than A_{k+1}.  The orbit sums span the G-invariant part A_k^G, ×L maps
+    it into A_{k+1}^G, and the orbits are counted as the Hilbert function
+    of ``IsotypicMaps.orbit_frame``.  The map below such a degree is
+    eliminated as well, so the descent takes it first and then the known
+    failures ascending, and the ascent above them follows at once.
     """
     maps = IsotypicMaps(frame)
     socle = frame.socle_degree()
     holds_socle = frame.socle_degrees()
     dims = hilbert_series(frame)
+    orbits = hilbert_series(maps.orbit_frame) if maps.pairs else dims
     ranks = [None] * socle
+    failing = []  # degrees known not injective, eliminated after the one below
     injective = False  # on A_{k+1}
     for k in reversed(range(socle)):
-        if dims[k] > dims[k + 1]:
-            injective = False
-        elif injective and k not in holds_socle:
+        rising = dims[k] <= dims[k + 1]
+        if rising and injective and k not in holds_socle:
             ranks[k] = dims[k]
-        else:
-            ranks[k] = _weighted_rank(maps.matrices(k))
-            injective = ranks[k] == dims[k]
-    onto = False
-    for k in range(socle):
-        if ranks[k] is None:
-            ranks[k] = dims[k + 1] if onto else _weighted_rank(maps.matrices(k))
-        onto = ranks[k] == dims[k + 1]
+            continue
+        if rising and k and (k in holds_socle or orbits[k] > orbits[k + 1]):
+            failing.append(k)
+            injective = False
+            continue
+        stretch = ([k] if rising else []) + failing[::-1]
+        failing.clear()
+        for d in stretch:
+            ranks[d] = _weighted_rank(maps.matrices(d))
+        injective = rising and ranks[k] == dims[k]
+        # the falling degrees above the stretch, from the layout it ends on
+        d = stretch[-1] + 1 if stretch else socle
+        while d < socle and ranks[d] is None:
+            onto = ranks[d - 1] == dims[d]
+            ranks[d] = dims[d + 1] if onto else _weighted_rank(maps.matrices(d))
+            d += 1
     per = []
     for k, r in enumerate(ranks):
         a, b = dims[k], dims[k + 1]

@@ -1485,3 +1485,217 @@ class TestNoMonomials:
             direct = direct_ranks(frame, frame.linear_form(), range(wlp.socle_degree))
             assert [p.rank for p in wlp.per_degree] == direct, frame
             assert slp == slp_reference(frame), frame
+
+
+# --- orbit representatives listed on Δ restricted to one twin per pair ----------
+
+
+class FilteredMaps(IsotypicMaps):
+    """The oracle of ``IsotypicMaps``' layouts and matrices: the standard
+    monomials of the whole frame, walked pair by pair to keep those with
+    e_a >= e_b on every pair, and each product x_v r, over the neighbours
+    v of r in Δ, mapped to its orbit representative, adding 1 per
+    product."""
+
+    def __init__(self, frame):
+        super().__init__(frame)
+        closed = {v: {v} for v in frame.complex.vertices}
+        for f in frame.complex.facets:
+            for v in f:
+                closed[v].update(f)
+        self._neighbours = {v: tuple(((w, 1),) for w in sorted(c)) for v, c in closed.items()}
+        self._neighbours[None] = tuple(((w, 1),) for w in frame.complex.vertices)
+
+    def _representative(self, exps):
+        e = dict(exps)
+        for a, b in self.pairs:
+            e[a], e[b] = max(e.get(a, 0), e.get(b, 0)), min(e.get(a, 0), e.get(b, 0))
+        return tuple(sorted((v, x) for v, x in e.items() if x))
+
+    def _layout(self, k):
+        bases = {}
+        for m in standard_monomials(self.frame.complex, k, self.frame.caps):
+            if self._representative(m) != m:
+                continue
+            e = dict(m)
+            free = sum(1 << bit for bit, (a, b) in enumerate(self.pairs)
+                       if e.get(a, 0) > e.get(b, 0))
+            for s in range(free + 1):
+                if s & free == s and self.orbit(s)[0] == s:
+                    bases.setdefault(s, []).append(m)
+        out, lengths = {}, {}
+        for s in sorted(bases):
+            w = self.orbit(s)[1]
+            start = lengths.get(w, 0)
+            lengths[w] = start + len(bases[s])
+            out[s] = (w, dict(zip(bases[s], range(start, lengths[w]))))
+        return out, lengths
+
+    def matrices(self, k):
+        (src, src_lengths), (dst, dst_lengths) = self._layout(k), self._layout(k + 1)
+        reps = dst[0][1] if dst else {}
+        diagonals = {w: {} for w in src_lengths.keys() | dst_lengths.keys()}
+        for s, (w, cols) in src.items():
+            entries = diagonals[w]
+            for r, j in cols.items():
+                for x in self._neighbours[r[0][0] if r else None]:
+                    q = self._representative(_times(r, x))
+                    if q in reps:
+                        i = dst[s][1][q]
+                        entries[i, j] = entries.get((i, j), 0) + 1
+        return {w: linalg.ExactMatrix(dst_lengths.get(w, 0), src_lengths.get(w, 0), entries)
+                for w, entries in diagonals.items()}
+
+
+def check_against_filter(frame):
+    """Layouts and matrices, entries in the order ``linalg`` reads them,
+    equal the oracle's in every degree up to the socle."""
+    maps, oracle = IsotypicMaps(frame), FilteredMaps(frame)
+    top = frame.socle_degree()
+    for k in range(top + 1):
+        assert maps._layout(k) == oracle._layout(k), (frame, k)
+    for k in range(top):
+        ours, theirs = maps.matrices(k), oracle.matrices(k)
+        assert ours == theirs, (frame, k)
+        for w, m in ours.items():
+            assert list(m.entries.items()) == list(theirs[w].entries.items()), (frame, k, w)
+
+
+@st.composite
+def planted_twins_mixed_caps(draw):
+    """``planted_twins`` with a cap per vertex, equal on each of its twin
+    pairs or not, so some pairs stay twins and others split."""
+    frame = draw(planted_twins())
+    top = 4 if frame.complex.dim <= 1 else 3
+    caps = {v: draw(st.integers(2, top)) for v in frame.complex.vertices}
+    for a, b in twin_pairs(frame):
+        if draw(st.booleans()):
+            caps[b] = caps[a]
+    return ArtinianFrame(frame.complex, caps)
+
+
+# two isolated twins leave one empty facet {b} - B behind, which Δ' drops
+ISOLATED_PAIRS = [ArtinianFrame(from_facets([{1}, {2}]), 3),
+                  ArtinianFrame(from_facets([{1}, {2}, {3}, {4}]), {1: 2, 2: 2, 3: 4, 4: 4}),
+                  ArtinianFrame(from_facets([{1, 2}, {3}, {4}]), 3)]
+
+
+class TestOrbitFrame:
+    """Representatives listed as the standard monomials of Δ' = Δ|V∖B,
+    against the filter over every standard monomial of Δ."""
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_relabelled_fixtures_caps_2_to_5(self, cx, name):
+        rng = random.Random(name)
+        for caps in (2, 3, 4, 5):
+            check_against_filter(relabelled(ArtinianFrame(cx(name), caps), rng))
+
+    @pytest.mark.parametrize("d, caps", [(4, 3), (4, 4), (5, 3), (5, 4)])
+    def test_cross_polytopes(self, d, caps):
+        check_against_filter(ArtinianFrame(cross_polytope(d), caps))
+        # see TestIsotypicBlocks.test_cross_polytopes
+        _standard_monomials.cache_clear()
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted_twins_mixed_caps())
+    def test_planted_twins_with_mixed_caps(self, frame):
+        check_against_filter(frame)
+
+    def test_c4_pairs_every_vertex(self, cx):
+        for caps in (2, 3, 4):
+            frame = ArtinianFrame(cx("C4"), caps)
+            assert twin_pairs(frame) == ((1, 3), (2, 4))
+            assert IsotypicMaps(frame).orbit_frame.complex.facets == (frozenset({1, 2}),)
+            check_against_filter(frame)
+
+    def test_isolated_pairs(self):
+        for frame in ISOLATED_PAIRS:
+            reduced = IsotypicMaps(frame).orbit_frame.complex
+            assert frozenset() not in reduced.facets and len(reduced.facets) == len(
+                frame.complex.facets) - len(twin_pairs(frame))
+            check_against_filter(frame)
+
+    def test_orbits_are_counted(self, cx):
+        frames = [ArtinianFrame(cx("OCT"), 3), ArtinianFrame(cross_polytope(4), 3),
+                  ArtinianFrame(K33, 3), *ISOLATED_PAIRS]
+        for frame in frames:
+            maps = IsotypicMaps(frame)
+            counts = hilbert_series(maps.orbit_frame)
+            assert counts == tuple(len(layout(maps, k)[0])
+                                   for k in range(frame.socle_degree() + 1)), frame
+
+    def test_no_second_twin_is_enumerated(self, cx, monkeypatch):
+        frames = [ArtinianFrame(cx("OCT"), 3), ArtinianFrame(cx("C4"), 3),
+                  ArtinianFrame(cross_polytope(4), 3), ArtinianFrame(K33, 2), *ISOLATED_PAIRS]
+        seen = []
+        real = lefschetz.standard_monomials
+
+        def spy(complex_, k, caps=(), filters=()):
+            seen.append((complex_, caps))
+            return real(complex_, k, caps, filters)
+
+        for frame in frames:
+            second = {b for _, b in twin_pairs(frame)}
+            seen.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(lefschetz, "standard_monomials", spy)
+                wlp, slp = wlp_check(frame), slp_check(frame)
+            assert seen, frame
+            for complex_, caps in seen:
+                assert not second & set(complex_.vertices), frame
+                assert not second & {v for v, _ in caps}, frame
+            assert slp == slp_reference(frame), frame
+            direct = direct_ranks(frame, frame.linear_form(), range(wlp.socle_degree))
+            assert [p.rank for p in wlp.per_degree] == direct, frame
+
+
+class TestOneLayoutPerDegree:
+    """``wlp_check`` builds each layout once, with two held at a time."""
+
+    def recorded(self, monkeypatch, frame):
+        built, held, eliminated = [], [], []
+        real_layout, real_matrices = IsotypicMaps._layout, IsotypicMaps.matrices
+
+        def recording_layout(self, k):
+            built.append(k)
+            return real_layout(self, k)
+
+        def recording_matrices(self, k):
+            eliminated.append(k)
+            out = real_matrices(self, k)
+            held.append(len(self._layouts))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(IsotypicMaps, "_layout", recording_layout)
+            patch.setattr(IsotypicMaps, "matrices", recording_matrices)
+            report = wlp_check(frame)
+        assert max(held) == 2
+        return report, built, eliminated
+
+    def test_cross5_caps4(self, monkeypatch):
+        # 8 fails injectivity (2720 -> 2800, 155 -> 135 orbits), so 7 is
+        # eliminated first; 9 fails surjectivity and 10 is the first onto map
+        frame = ArtinianFrame(cross_polytope(5), 4)
+        report, built, eliminated = self.recorded(monkeypatch, frame)
+        assert built == [7, 8, 9, 10, 11]
+        assert eliminated == [7, 8, 9, 10]
+        assert [p.k for p in report.failures()] == [8, 9]
+        _standard_monomials.cache_clear()
+
+    @pytest.mark.parametrize("d, caps, first", [(4, 3, 3), (4, 4, 5)])
+    def test_cross4(self, monkeypatch, d, caps, first):
+        frame = ArtinianFrame(cross_polytope(d), caps)
+        report, built, eliminated = self.recorded(monkeypatch, frame)
+        assert built == list(range(first, first + 5))
+        direct = direct_ranks(frame, frame.linear_form(), range(report.socle_degree))
+        assert [p.rank for p in report.per_degree] == direct
+
+    def test_two_stretches(self, monkeypatch):
+        # dims 1, 3, 3, 4, 5, 4, ...: 3 is injective and 4 the first onto
+        # map, taken before the descent goes on; 2 is decided, and x3 is
+        # socle in degree 1, so ×L fails injectivity there and 0 goes first
+        report, built, eliminated = self.recorded(monkeypatch, EDGE_AND_POINT)
+        assert eliminated == [3, 4, 0, 1]
+        assert built == [3, 4, 5, 0, 1, 2]
+        assert report == check_direct(EDGE_AND_POINT)

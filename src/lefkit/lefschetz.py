@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional
 
 from . import linalg, subdivision
@@ -51,12 +52,14 @@ from .monomials import (
     _products,
     _times,
     contract,
+    differentiate,
     face_monomials,  # unused here; benchmarks/selftest.py checks the tracer wraps this binding
     hilbert_function,
     hilbert_series,
     multiplication_matrix,
     standard_basis,
     standard_monomials,
+    stanley_reisner_generators,
     sum_of_variables,
 )
 
@@ -441,7 +444,9 @@ class IsotypicMaps:
     diagonal by diagonal.  With no classes every character is its own
     orbit, and matrix 1 holds every block, in ascending S; without twins
     it is ``multiplication_matrix(frame, L, k)``.  Products are taken on
-    the exponent tuples (``_times``); no ``Monomial`` is built.
+    the exponent tuples (``_times``); no ``Monomial`` is built.  Each
+    degree's layout is built on first use and kept with the instance, so
+    maps taken in any order share it.
     """
 
     def __init__(self, frame: ArtinianFrame):
@@ -454,19 +459,17 @@ class IsotypicMaps:
             {v: a for v, a in frame.caps if v not in second})
         self._bits = {a: 1 << bit for bit, (a, _) in enumerate(self.pairs)}
         cx = self.orbit_frame.complex
-        closed = {v: {v} for v in cx.vertices}
-        for f in cx.facets:
-            for v in f:
-                closed[v].update(f)
+        adjacent = _adjacency(cx.vertices, one_skeleton_edges(cx))
         # x_v m can be standard only for v next to every vertex of m; the
         # monomial 1 (key None) takes every x_v, each kept as its exps and
         # its bit if v is a first twin
         bits = self._bits
         self._candidates = {
-            v: tuple((((w, 1),), bits.get(w, 0)) for w in sorted(c)) for v, c in closed.items()
+            v: tuple((((w, 1),), bits.get(w, 0)) for w in sorted(c | {v}))
+            for v, c in adjacent.items()
         }
         self._candidates[None] = tuple((((w, 1),), bits.get(w, 0)) for w in cx.vertices)
-        self._layouts = {}  # the layouts of the last map's two degrees
+        self._layouts = {}  # degree -> layout, built on first use
 
     def orbit(self, s: int) -> tuple:
         """The least character in the orbit of S, and the orbit's size."""
@@ -526,14 +529,11 @@ class IsotypicMaps:
         """×L from degree k to k + 1, as {w: matrix}: the blocks of the
         least character of each orbit of size w lie along the diagonal of
         matrix w, characters ascending."""
-        # degree k + 1 is shared with the next map up, degree k with the
-        # next map down; the other layout is dropped before one is built
-        kept = {d: self._layouts[d] for d in (k, k + 1) if d in self._layouts}
-        self._layouts = kept
+        layouts = self._layouts
         for d in (k, k + 1):
-            if d not in kept:
-                kept[d] = self._layout(d)
-        (src, src_lengths), (dst, dst_lengths) = kept[k], kept[k + 1]
+            if d not in layouts:
+                layouts[d] = self._layout(d)
+        (src, src_lengths), (dst, dst_lengths) = layouts[k], layouts[k + 1]
         reps = dst[0][1] if dst else {}  # every representative lies in the trivial block
         candidates = self._candidates
         products = {}
@@ -587,48 +587,29 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
 
     Up: the algebra is generated in degree 1, so once L A_k = A_{k+1}
     every later map is onto as well (A_{k+2} = A_1 L A_k = L A_{k+1}).
-    The degrees with dim A_k > dim A_{k+1} are taken ascending, once the
-    map below them is ranked, and after an onto map their ranks are set
-    to the target dimension.
-
-    Order: ``IsotypicMaps`` holds the layouts of the last map's two
-    degrees, so a walk that turns builds one of them again.  Two facts
-    show ×L is not injective on A_k before any elimination: A_k holds
-    socle, which L kills, or A_k has more orbits of standard monomials
-    than A_{k+1}.  The orbit sums span the G-invariant part A_k^G, ×L maps
-    it into A_{k+1}^G, and the orbits are counted as the Hilbert function
-    of ``IsotypicMaps.orbit_frame``.  The map below such a degree is
-    eliminated as well, so the descent takes it first and then the known
-    failures ascending, and the ascent above them follows at once.
+    The degrees still open are taken ascending, and after the first onto
+    map their ranks are set to the target dimension.  ``IsotypicMaps``
+    keeps every layout it builds, so no layout is built twice.
     """
     maps = IsotypicMaps(frame)
     socle = frame.socle_degree()
     holds_socle = frame.socle_degrees()
     dims = hilbert_series(frame)
-    orbits = hilbert_series(maps.orbit_frame) if maps.pairs else dims
     ranks = [None] * socle
-    failing = []  # degrees known not injective, eliminated after the one below
     injective = False  # on A_{k+1}
     for k in reversed(range(socle)):
-        rising = dims[k] <= dims[k + 1]
-        if rising and injective and k not in holds_socle:
-            ranks[k] = dims[k]
-            continue
-        if rising and k and (k in holds_socle or orbits[k] > orbits[k + 1]):
-            failing.append(k)
+        if dims[k] > dims[k + 1]:
             injective = False
-            continue
-        stretch = ([k] if rising else []) + failing[::-1]
-        failing.clear()
-        for d in stretch:
-            ranks[d] = _weighted_rank(maps.matrices(d))
-        injective = rising and ranks[k] == dims[k]
-        # the falling degrees above the stretch, from the layout it ends on
-        d = stretch[-1] + 1 if stretch else socle
-        while d < socle and ranks[d] is None:
-            onto = ranks[d - 1] == dims[d]
-            ranks[d] = dims[d + 1] if onto else _weighted_rank(maps.matrices(d))
-            d += 1
+        elif injective and k not in holds_socle:
+            ranks[k] = dims[k]
+        else:
+            ranks[k] = _weighted_rank(maps.matrices(k))
+            injective = ranks[k] == dims[k]
+    onto = False
+    for k in range(socle):
+        if ranks[k] is None:
+            ranks[k] = dims[k + 1] if onto else _weighted_rank(maps.matrices(k))
+        onto = ranks[k] == dims[k + 1]
     per = []
     for k, r in enumerate(ranks):
         a, b = dims[k], dims[k + 1]
@@ -731,8 +712,6 @@ def colored_dual_generator(cx: SimplicialComplex, rho: Coloring) -> Polynomial:
         terms[Monomial({v: 1 for v in graph.nodes[idx]})] = Fraction(-1)
     F = Polynomial(terms)
     # active verification of the annihilation identities
-    from .monomials import stanley_reisner_generators
-
     cand = colored_sop(cx, rho)
     checks = list(stanley_reisner_generators(cx).generators)
     checks.extend(cand.theta)
@@ -746,8 +725,6 @@ def colored_dual_generator(cx: SimplicialComplex, rho: Coloring) -> Polynomial:
 
 def universal_sop(n: int, count: int) -> SopCandidate:
     """Elementary symmetric polynomials e_1..e_count in x1..xn."""
-    from itertools import combinations
-
     if not 1 <= count <= n:
         raise RangeError(f"count must lie in 1..{n}")
     theta = []
@@ -790,10 +767,9 @@ def verify_unexpected(
 
     u3 = _membership(cx, cand.theta, f)
 
-    failing = []
-    for v, a in frame.caps:
-        if not _membership(cx, cand.theta, Polynomial.variable(v, a)):
-            failing.append(v)
+    cap_map = frame.cap_map
+    failing = [v for v, a in cap_map.items()
+               if not _membership(cx, cand.theta, Polynomial.variable(v, a))]
     u4 = not failing
 
     hf_t = hilbert_function(frame, t)
@@ -806,7 +782,7 @@ def verify_unexpected(
                "quotient_hilbert": list(check.hilbert_values)},
         "u2": {"computed_total_degree": lhs, "t": t},
         "u3": {"form": str(f)},
-        "u4": {"failing_powers": [f"x{v}^{dict(frame.caps)[v]}" for v in failing]},
+        "u4": {"failing_powers": [f"x{v}^{cap_map[v]}" for v in failing]},
         "u5": {"hf_t": hf_t, "hf_t_minus_deg_f": hf_prev},
     }
     return UnexpectedReport(u1, u2, u3, u4, u5, overall, witnesses)
@@ -847,8 +823,6 @@ def divergence_bound_check(F: Polynomial, a: int, n: Optional[int] = None) -> bo
         raise HypothesisError("zero polynomial")
     variables = F.variables()
     L = sum_of_variables(variables)
-    from .monomials import differentiate
-
     if not differentiate(L, F).is_zero():
         raise HypothesisError("F must have zero divergence")
     for m in F.terms:

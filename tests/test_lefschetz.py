@@ -528,12 +528,10 @@ class TestSocleRule:
         built = []
         real_layout = maps._layout
         maps._layout = lambda k: built.append(k) or real_layout(k)
-        order = [4, 3, 2, 3, 4, 5, 0, 1, top - 1]
-        for k in order:
+        for k in [4, 3, 2, 3, 4, 5, 0, 1, top - 1]:
             assert maps.matrices(k) == fresh[k], k
-            assert sorted(maps._layouts) == [k, k + 1]
-        # each step to a neighbouring degree builds one layout
-        assert built == [4, 5, 3, 2, 4, 5, 6, 0, 1, 2, top - 1, top]
+        # a walk that turns builds no layout again
+        assert sorted(built) == [0, 1, 2, 3, 4, 5, 6, top - 1, top]
 
 
 class TestHilbertSeries:
@@ -1649,53 +1647,70 @@ class TestOrbitFrame:
             assert [p.rank for p in wlp.per_degree] == direct, frame
 
 
+def recorded(frame):
+    """``wlp_check(frame)``, the degrees whose layouts it built and the
+    set of degrees whose ×L it eliminated; no layout is built twice."""
+    built, eliminated = [], set()
+    real_layout, real_matrices = IsotypicMaps._layout, IsotypicMaps.matrices
+
+    def recording_layout(self, k):
+        built.append(k)
+        return real_layout(self, k)
+
+    def recording_matrices(self, k):
+        eliminated.add(k)
+        return real_matrices(self, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IsotypicMaps, "_layout", recording_layout)
+        patch.setattr(IsotypicMaps, "matrices", recording_matrices)
+        report = wlp_check(frame)
+    assert len(built) == len(set(built)), (frame, built)
+    return report, sorted(built), eliminated
+
+
 class TestOneLayoutPerDegree:
-    """``wlp_check`` builds each layout once, with two held at a time."""
+    """``wlp_check`` builds each layout once, whatever the order of its
+    walk."""
 
-    def recorded(self, monkeypatch, frame):
-        built, held, eliminated = [], [], []
-        real_layout, real_matrices = IsotypicMaps._layout, IsotypicMaps.matrices
-
-        def recording_layout(self, k):
-            built.append(k)
-            return real_layout(self, k)
-
-        def recording_matrices(self, k):
-            eliminated.append(k)
-            out = real_matrices(self, k)
-            held.append(len(self._layouts))
-            return out
-
-        with monkeypatch.context() as patch:
-            patch.setattr(IsotypicMaps, "_layout", recording_layout)
-            patch.setattr(IsotypicMaps, "matrices", recording_matrices)
-            report = wlp_check(frame)
-        assert max(held) == 2
-        return report, built, eliminated
-
-    def test_cross5_caps4(self, monkeypatch):
-        # 8 fails injectivity (2720 -> 2800, 155 -> 135 orbits), so 7 is
-        # eliminated first; 9 fails surjectivity and 10 is the first onto map
+    def test_cross5_caps4(self):
+        # 8 fails injectivity (2720 -> 2800), so 7 is eliminated too; 9
+        # fails surjectivity and 10 is the first onto map
         frame = ArtinianFrame(cross_polytope(5), 4)
-        report, built, eliminated = self.recorded(monkeypatch, frame)
+        report, built, eliminated = recorded(frame)
         assert built == [7, 8, 9, 10, 11]
-        assert eliminated == [7, 8, 9, 10]
+        assert eliminated == {7, 8, 9, 10}
         assert [p.k for p in report.failures()] == [8, 9]
         _standard_monomials.cache_clear()
 
     @pytest.mark.parametrize("d, caps, first", [(4, 3, 3), (4, 4, 5)])
-    def test_cross4(self, monkeypatch, d, caps, first):
+    def test_cross4(self, d, caps, first):
         frame = ArtinianFrame(cross_polytope(d), caps)
-        report, built, eliminated = self.recorded(monkeypatch, frame)
+        report, built, eliminated = recorded(frame)
         assert built == list(range(first, first + 5))
         direct = direct_ranks(frame, frame.linear_form(), range(report.socle_degree))
         assert [p.rank for p in report.per_degree] == direct
 
-    def test_two_stretches(self, monkeypatch):
+    def test_two_stretches(self):
         # dims 1, 3, 3, 4, 5, 4, ...: 3 is injective and 4 the first onto
-        # map, taken before the descent goes on; 2 is decided, and x3 is
-        # socle in degree 1, so ×L fails injectivity there and 0 goes first
-        report, built, eliminated = self.recorded(monkeypatch, EDGE_AND_POINT)
-        assert eliminated == [3, 4, 0, 1]
-        assert built == [3, 4, 5, 0, 1, 2]
+        # map; 2 is decided, and x3 is socle in degree 1, so ×L fails
+        # injectivity there and 0 is eliminated as well
+        report, built, eliminated = recorded(EDGE_AND_POINT)
+        assert eliminated == {0, 1, 3, 4}
+        assert built == [0, 1, 2, 3, 4, 5]
         assert report == check_direct(EDGE_AND_POINT)
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_relabelled_fixtures_caps_2_to_5(self, cx, name):
+        # BALL10 at caps 3 and 5, DUNCE at caps 5 and C3 at caps 3 and 5
+        # walk down through a failure and back up through its layout
+        rng = random.Random(name)
+        for caps in (2, 3, 4, 5):
+            recorded(relabelled(ArtinianFrame(cx(name), caps), rng))
+
+    @settings(max_examples=150, deadline=None)
+    @given(capped_frames())
+    @example(EDGE_AND_POINT)
+    @example(TWO_FAILURES)
+    def test_capped_frames(self, frame):
+        recorded(frame)

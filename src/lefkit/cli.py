@@ -1,9 +1,13 @@
 """Batch command-line surface with JSON input and output.
 
-Every command is deterministic: identical invocations produce
+One path in ``main`` runs every subcommand: it parses the arguments,
+loads ``--complex`` once when given, calls the handler ``cmd_x(args, cx)``,
+which returns its report as a dict, and emits that report to stdout or
+``--out``.  Every command is deterministic: identical invocations produce
 byte-identical reports.  Exit codes: 0 success, 2 parse error,
 3 precondition violation, 4 hypothesis failure, 5 falsification event
 (an invariant the library asserts was violated by an exact computation).
+Every failure but an argument error writes a JSON error to stderr.
 """
 
 from __future__ import annotations
@@ -20,11 +24,16 @@ from .errors import FalsificationError, HypothesisError, LefkitError, ParseError
 from .monomials import ArtinianFrame, parse_polynomial
 
 
-def _parse_caps(text):
+def _parse_ints(text, what):
+    """Comma-separated integers; anything else is a ParseError."""
     try:
-        parts = [int(p) for p in text.split(",")]
+        return [int(p) for p in text.split(",")]
     except ValueError as exc:
-        raise ParseError(f"bad caps {text!r}") from exc
+        raise ParseError(f"bad {what} {text!r}") from exc
+
+
+def _parse_caps(text):
+    parts = _parse_ints(text, "caps")
     return parts[0] if len(parts) == 1 else parts
 
 
@@ -81,8 +90,7 @@ def _wlp_payload(report, frame, args):
     return {"holds": report.holds, "socle_degree": report.socle_degree, "per_degree": per}
 
 
-def cmd_info(args):
-    cx = complexes.load_complex(args.complex)
+def cmd_info(args, cx):
     profile = complexes.fh_profile(cx)
     cm = complexes.is_cohen_macaulay(cx)
     pm = complexes.pseudomanifold_status(cx)
@@ -91,7 +99,7 @@ def cmd_info(args):
         coloring = complexes.balanced_coloring(cx)
     except LefkitError:
         coloring = None
-    payload = {
+    return {
         "name": cx.name,
         "dim": cx.dim,
         "facets": [sorted(f) for f in cx.facets],
@@ -117,13 +125,10 @@ def cmd_info(args):
         if coloring is None
         else {str(v): c for v, c in sorted(coloring.assignment.items())},
     }
-    _emit(args, payload)
-    return 0
 
 
-def cmd_hf(args):
-    cx = complexes.load_complex(args.complex)
-    degrees = [int(d) for d in args.degrees.split(",")] if args.degrees else None
+def cmd_hf(args, cx):
+    degrees = _parse_ints(args.degrees, "degrees") if args.degrees else None
     payload = {"name": cx.name, "caps": args.caps}
     extra = []
     if args.forms:
@@ -140,20 +145,16 @@ def cmd_hf(args):
         degrees = list(range(top + 1))
     payload["degrees"] = degrees
     payload["values"] = [lf.quotient_hilbert(cx, extra, k) for k in degrees]
-    _emit(args, payload)
-    return 0
+    return payload
 
 
-def cmd_wlp(args):
-    cx = complexes.load_complex(args.complex)
+def cmd_wlp(args, cx):
     frame = ArtinianFrame(cx, _parse_caps(args.caps))
     report = lf.wlp_check(frame)
-    _emit(args, {"name": cx.name, "caps": args.caps, "wlp": _wlp_payload(report, frame, args)})
-    return 0
+    return {"name": cx.name, "caps": args.caps, "wlp": _wlp_payload(report, frame, args)}
 
 
-def cmd_slp(args):
-    cx = complexes.load_complex(args.complex)
+def cmd_slp(args, cx):
     frame = ArtinianFrame(cx, _parse_caps(args.caps))
     report = lf.slp_check(frame)
     per = [
@@ -167,19 +168,14 @@ def cmd_slp(args):
         }
         for (j, i, a, b, r, full) in report.per_pair
     ]
-    _emit(
-        args,
-        {
-            "name": cx.name,
-            "caps": args.caps,
-            "slp": {"holds": report.holds, "socle_degree": report.socle_degree, "per_pair": per},
-        },
-    )
-    return 0
+    return {
+        "name": cx.name,
+        "caps": args.caps,
+        "slp": {"holds": report.holds, "socle_degree": report.socle_degree, "per_pair": per},
+    }
 
 
-def cmd_kernel(args):
-    cx = complexes.load_complex(args.complex)
+def cmd_kernel(args, cx):
     frame = ArtinianFrame(cx, _parse_caps(args.caps))
     piece = lf.kernel_transpose_basis(frame, args.degree)
     payload = {
@@ -202,29 +198,21 @@ def cmd_kernel(args):
             raise FalsificationError(f"kernel element fails divergence hypotheses: {exc}")
         if not ok:
             raise FalsificationError("kernel element violates the divergence degree bound")
-    _emit(args, payload)
-    return 0
+    return payload
 
 
-def cmd_hesd(args):
-    cx = complexes.load_complex(args.complex)
-    sub = subdivision.hesd(cx, args.r)
-    _emit(args, sub.to_json_dict())
-    return 0
+def cmd_hesd(args, cx):
+    return subdivision.hesd(cx, args.r).to_json_dict()
 
 
-def cmd_incidence(args):
-    cx = complexes.load_complex(args.complex)
-    inc = subdivision.incidence_complex(cx, args.i)
-    _emit(args, inc.to_json_dict())
-    return 0
+def cmd_incidence(args, cx):
+    return subdivision.incidence_complex(cx, args.i).to_json_dict()
 
 
-def cmd_spread(args):
-    if bool(args.complex) == bool(args.ideal):
+def cmd_spread(args, cx):
+    if (cx is None) == (not args.ideal):
         raise ParseError("spread needs exactly one of --complex or --ideal")
-    if args.complex:
-        cx = complexes.load_complex(args.complex)
+    if cx is not None:
         ideal = monomials.facet_ideal(cx)
         source = {"complex": cx.name or args.complex, "ideal": "facet ideal"}
     else:
@@ -240,64 +228,51 @@ def cmd_spread(args):
         "maximal": spread == len(ideal.generators),
     }
     _attach_matrix(args, payload, "log_matrix", log.matrix)
-    _emit(args, payload)
-    return 0
+    return payload
 
 
-def cmd_collapse(args):
-    cx = complexes.load_complex(args.complex)
+def cmd_collapse(args, cx):
     cert = complexes.collapse_search(cx, args.target, args.budget)
     if cert is None:
-        payload = {"name": cx.name, "target_dim": args.target, "found": False}
-    else:
-        complexes.replay_collapse(cx, cert)
-        payload = {
-            "name": cx.name,
-            "target_dim": args.target,
-            "found": True,
-            "steps": [[sorted(free), sorted(coface)] for free, coface in cert.steps],
-            "residual_facets": [sorted(f) for f in cert.residual.facets],
-            "residual_dim": cert.residual.dim,
-        }
-    _emit(args, payload)
-    return 0
+        return {"name": cx.name, "target_dim": args.target, "found": False}
+    complexes.replay_collapse(cx, cert)
+    return {
+        "name": cx.name,
+        "target_dim": args.target,
+        "found": True,
+        "steps": [[sorted(free), sorted(coface)] for free, coface in cert.steps],
+        "residual_facets": [sorted(f) for f in cert.residual.facets],
+        "residual_dim": cert.residual.dim,
+    }
 
 
-def cmd_colored_sop(args):
-    cx = complexes.load_complex(args.complex)
+def cmd_colored_sop(args, cx):
     coloring = complexes.balanced_coloring(cx)
     if coloring is None:
         raise HypothesisError("complex is not balanced: no proper (d+1)-coloring exists")
     cand = lf.colored_sop(cx, coloring)
-    _emit(
-        args,
-        {
-            "name": cx.name,
-            "coloring": {str(v): c for v, c in sorted(coloring.assignment.items())},
-            "sop": [str(t) for t in cand.theta],
-            "total_degree_t": cand.total_degree_t,
-        },
-    )
-    return 0
+    return {
+        "name": cx.name,
+        "coloring": {str(v): c for v, c in sorted(coloring.assignment.items())},
+        "sop": [str(t) for t in cand.theta],
+        "total_degree_t": cand.total_degree_t,
+    }
 
 
-def cmd_dual_gen(args):
-    cx = complexes.load_complex(args.complex)
+def cmd_dual_gen(args, cx):
     coloring = complexes.balanced_coloring(cx)
     if coloring is None:
         raise HypothesisError("complex is not balanced")
     F = lf.colored_dual_generator(cx, coloring)
-    _emit(args, {"name": cx.name, "dual_generator": str(F)})
-    return 0
+    return {"name": cx.name, "dual_generator": str(F)}
 
 
-def cmd_sop_verify(args):
-    cx = complexes.load_complex(args.complex)
+def cmd_sop_verify(args, cx):
     theta = _parse_forms(args.sop)
     f = parse_polynomial(args.f)
     cand = lf.SopCandidate.make(theta)
     report = lf.verify_unexpected(cx, cand, f, _parse_caps(args.caps), args.t)
-    payload = {
+    return {
         "name": cx.name,
         "sop": [str(t) for t in theta],
         "f": str(f),
@@ -313,8 +288,6 @@ def cmd_sop_verify(args):
         "witnesses": report.witnesses,
         "overall": report.overall,
     }
-    _emit(args, payload)
-    return 0
 
 
 def build_parser():
@@ -324,7 +297,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, matrices=False, **kwargs):
+    def add(name, fn, matrices=False, complex_required=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the JSON report to this path")
@@ -332,56 +305,45 @@ def build_parser():
             p.add_argument("--embed-matrices", action="store_true")
             p.add_argument("--screen", type=int, default=None, metavar="P",
                            help="also report ranks mod the prime P (screening only)")
+        p.add_argument("--complex", required=complex_required)
         return p
 
-    p = add("info", cmd_info, help="f/h-vectors, CM, pseudomanifold, homology, balancedness")
-    p.add_argument("--complex", required=True)
+    add("info", cmd_info, help="f/h-vectors, CM, pseudomanifold, homology, balancedness")
 
     p = add("hf", cmd_hf, help="Hilbert function of the capped algebra or a quotient")
-    p.add_argument("--complex", required=True)
     p.add_argument("--caps", default=None)
     p.add_argument("--degrees", default=None, help="comma-separated degrees")
     p.add_argument("--forms", default=None, help="semicolon-separated forms or a .json file")
 
     p = add("wlp", cmd_wlp, matrices=True, help="weak Lefschetz report")
-    p.add_argument("--complex", required=True)
     p.add_argument("--caps", required=True)
 
     p = add("slp", cmd_slp, help="strong Lefschetz report")
-    p.add_argument("--complex", required=True)
     p.add_argument("--caps", required=True)
 
     p = add("kernel", cmd_kernel, matrices=True, help="transpose-kernel basis at a degree")
-    p.add_argument("--complex", required=True)
     p.add_argument("--caps", required=True)
     p.add_argument("--degree", type=int, required=True)
 
     p = add("hesd", cmd_hesd, help="half-hollow edgewise subdivision")
-    p.add_argument("--complex", required=True)
     p.add_argument("--r", type=int, required=True)
 
     p = add("incidence", cmd_incidence, help="incidence complex")
-    p.add_argument("--complex", required=True)
     p.add_argument("--i", type=int, required=True)
 
-    p = add("spread", cmd_spread, matrices=True,
+    p = add("spread", cmd_spread, matrices=True, complex_required=False,
             help="analytic spread of a monomial or facet ideal")
-    p.add_argument("--complex", default=None)
     p.add_argument("--ideal", default=None, help="semicolon-separated monomials or a .json file")
 
     p = add("collapse", cmd_collapse, help="search for a collapse certificate")
-    p.add_argument("--complex", required=True)
     p.add_argument("--target", type=int, default=0)
     p.add_argument("--budget", type=int, default=10**6)
 
-    p = add("colored-sop", cmd_colored_sop, help="colored sop of a balanced complex")
-    p.add_argument("--complex", required=True)
+    add("colored-sop", cmd_colored_sop, help="colored sop of a balanced complex")
 
-    p = add("dual-gen", cmd_dual_gen, help="Macaulay dual generator of the colored-sop quotient")
-    p.add_argument("--complex", required=True)
+    add("dual-gen", cmd_dual_gen, help="Macaulay dual generator of the colored-sop quotient")
 
     p = add("sop-verify", cmd_sop_verify, help="full (U1)-(U5) unexpectedness report")
-    p.add_argument("--complex", required=True)
     p.add_argument("--sop", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--caps", required=True)
@@ -400,7 +362,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        cx = None if args.complex is None else complexes.load_complex(args.complex)
+        _emit(args, args.fn(args, cx))
+        return 0
     except LefkitError as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True)

@@ -110,9 +110,9 @@ class SimplicialComplex:
     def from_json_dict(cls, obj: dict) -> "SimplicialComplex":
         try:
             cx = from_facets(obj["facets"], obj.get("name", ""), obj.get("meta"))
+            declared = set(obj.get("vertices", cx.vertices))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad complex JSON: {exc}") from exc
-        declared = set(obj.get("vertices", cx.vertices))
         if declared and not set(cx.vertices) <= declared:
             raise ParseError("facet vertices missing from declared vertex list")
         return cx
@@ -311,22 +311,22 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> linalg.ExactMatrix:
 
 @lru_cache(maxsize=1024)
 def homology(cx: SimplicialComplex) -> HomologyReport:
-    """Reduced rational homology from exact boundary matrices."""
+    """Reduced rational homology from exact boundary matrices.
+
+    The top map is eliminated once: its kernel gives both its rank and,
+    when the top homology has rank one, the top cycle."""
     d = cx.dim
     counts = {k: len(faces(cx, k)) for k in range(-1, d + 1)}
-    bnd_rank = {}
-    for k in range(0, d + 1):
-        bnd_rank[k] = linalg.rank(boundary_matrix(cx, k))
+    top = linalg.kernel_basis(boundary_matrix(cx, d))
+    bnd_rank = {k: linalg.rank(boundary_matrix(cx, k)) for k in range(d)}
     bnd_rank[-1] = 0
+    bnd_rank[d] = counts[d] - top.dimension
     bnd_rank[d + 1] = 0
     ranks = []
     for i in range(-1, d + 1):
         kernel_dim = counts[i] - bnd_rank[i]
         ranks.append(kernel_dim - bnd_rank[i + 1])
-    top_cycle = None
-    if ranks[-1] == 1:
-        kb = linalg.kernel_basis(boundary_matrix(cx, d))
-        top_cycle = kb.vectors[0]
+    top_cycle = top.vectors[0] if ranks[-1] == 1 else None
     return HomologyReport(tuple(ranks), top_cycle)
 
 

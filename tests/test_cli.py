@@ -1,7 +1,10 @@
 """Command-line surface: JSON reports, determinism, exit codes."""
 
+import argparse
 import json
 from importlib import resources
+
+import pytest
 
 from lefkit import cli
 from lefkit.cli import main
@@ -87,6 +90,14 @@ class TestHf:
         )
         assert payload["degrees"] == [0, 1, 2, 3]
         assert payload["values"] == [1, 4, 0, 0]
+
+    @pytest.mark.parametrize("degrees", ["1,a", "1,,2", "2.5"])
+    def test_bad_degrees_are_parse_errors(self, capsys, degrees):
+        code, out, err = run(
+            capsys, "hf", "--complex", fixture_path("oct"), "--caps", "2", "--degrees", degrees
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ParseError", "message": f"bad degrees {degrees!r}"}
 
     def test_forms_file_must_hold_strings(self, capsys, tmp_path):
         forms = tmp_path / "forms.json"
@@ -200,6 +211,12 @@ class TestSpread:
         code, _, err = run(capsys, "spread")
         assert code == 2
 
+    def test_both_sources_refused_after_loading_the_complex(self, capsys):
+        code, out, err = run(capsys, "spread", "--complex", fixture_path("fan4"), "--ideal", "x1*x2")
+        assert (code, out, json.loads(err)["error"]) == (2, "", "ParseError")
+        code, out, err = run(capsys, "spread", "--complex", "no/such/file.json", "--ideal", "x1*x2")
+        assert (code, out, json.loads(err)["error"]) == (2, "", "IOError")
+
     def test_mixed_degrees_exit3(self, capsys):
         code, _, err = run(capsys, "spread", "--ideal", "x1; x2*x3")
         assert code == 3
@@ -257,6 +274,69 @@ class TestOutput:
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(capsys, "info", "--complex", "no/such/file.json")
         assert code == 2
+
+    @pytest.mark.parametrize("vertices", [5, [[1], [2]]])
+    def test_malformed_vertices_are_parse_errors(self, capsys, tmp_path, vertices):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"facets": [[1, 2]], "vertices": vertices}))
+        code, out, err = run(capsys, "info", "--complex", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ParseError"
+
+
+# The README's command-line examples, one or more per subcommand, with the
+# shipped fixtures for its complex files.
+README_EXAMPLES = [
+    ("info", "--complex", "oct"),
+    ("hf", "--complex", "cross4", "--caps", "3", "--degrees", "5,6"),
+    ("hf", "--complex", "ball10", "--caps", "4", "--forms", "x1+x2+x3+x4+x5+x6+x7+x8+x9+x10"),
+    ("wlp", "--complex", "oct", "--caps", "2"),
+    ("slp", "--complex", "edge", "--caps", "3"),
+    ("kernel", "--complex", "ball10", "--caps", "4", "--degree", "9"),
+    ("hesd", "--complex", "c4", "--r", "2"),
+    ("incidence", "--complex", "fan4", "--i", "2"),
+    ("spread", "--ideal", "x1*x2; x2*x3; x1*x3"),
+    ("spread", "--complex", "fan4", "--embed-matrices"),
+    ("collapse", "--complex", "fan4", "--target", "1"),
+    ("colored-sop", "--complex", "oct"),
+    ("dual-gen", "--complex", "oct"),
+    ("sop-verify", "--complex", "oct", "--sop", "x1+x2; x3+x4; x5+x6",
+     "--f", "x1+x2+x3+x4+x5+x6", "--caps", "2", "--t", "3"),
+]
+
+
+def with_complex(argv, path):
+    """argv with each --complex value mapped through path."""
+    return [path(a) if prev == "--complex" else a for prev, a in zip(("",) + argv, argv)]
+
+
+def example_id(argv):
+    return argv[0] if argv[1] == "--complex" else f"{argv[0]}-{argv[1].lstrip('-')}"
+
+
+class TestSharedPath:
+    def test_examples_cover_every_subcommand(self):
+        commands = {argv[0] for argv in README_EXAMPLES}
+        (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert commands == set(sub.choices)
+
+    @pytest.mark.parametrize("argv", README_EXAMPLES, ids=example_id)
+    def test_out_writes_the_bytes_of_stdout(self, capsys, tmp_path, argv):
+        argv = with_complex(argv, fixture_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        target = tmp_path / "report.json"
+        code, quiet, _ = run(capsys, *argv, "--out", str(target))
+        assert (code, quiet) == (0, "")
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "argv", [a for a in README_EXAMPLES if "--complex" in a], ids=example_id
+    )
+    def test_missing_complex_is_io_error(self, capsys, argv):
+        code, out, err = run(capsys, *with_complex(argv, lambda _: "no/such/file.json"))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "IOError"
 
 
 class TestScale:

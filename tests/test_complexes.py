@@ -26,8 +26,15 @@ from lefkit.complexes import (
     pseudomanifold_status,
     replay_collapse,
 )
-from lefkit.errors import DimensionError, InvalidComplex, NotAFace, PurityError, RangeError
-from lefkit import fixtures
+from lefkit.errors import (
+    DimensionError,
+    InvalidComplex,
+    NotAFace,
+    ParseError,
+    PurityError,
+    RangeError,
+)
+from lefkit import fixtures, linalg
 
 ALL_FIXTURES = fixtures.FIXTURE_NAMES
 
@@ -68,6 +75,24 @@ class TestFromFacets:
     def test_facets_sorted_and_deduped(self):
         cx = from_facets([{2, 3}, {1, 2}, {2, 3}])
         assert cx.facets == (frozenset({1, 2}), frozenset({2, 3}))
+
+
+class TestFromJsonDict:
+    def test_declared_vertices_must_cover_the_facets(self):
+        cx = SimplicialComplex.from_json_dict({"facets": [[1, 2]], "vertices": [1, 2, 3]})
+        assert cx.facets == (frozenset({1, 2}),)
+        with pytest.raises(ParseError):
+            SimplicialComplex.from_json_dict({"facets": [[1, 2]], "vertices": [1]})
+
+    @pytest.mark.parametrize("vertices", [5, [[1], [2]], None])
+    def test_malformed_vertices_are_parse_errors(self, vertices):
+        with pytest.raises(ParseError):
+            SimplicialComplex.from_json_dict({"facets": [[1, 2]], "vertices": vertices})
+
+    @pytest.mark.parametrize("obj", [{}, {"facets": 3}, [[1, 2]], None])
+    def test_malformed_facets_are_parse_errors(self, obj):
+        with pytest.raises(ParseError):
+            SimplicialComplex.from_json_dict(obj)
 
 
 class TestFaces:
@@ -653,6 +678,22 @@ CLOSED = {
 
 
 class TestAgainstReplacedCode:
+    @settings(max_examples=200, deadline=None)
+    @given(ridge_complexes())
+    @example(from_facets([{1}]))
+    @example(from_facets([{1, 2}, {2, 3}, {1, 3}]))
+    def test_ranks_match_every_boundary_rank(self, complex_):
+        # the replaced path: rank every boundary map, the top one included
+        d = complex_.dim
+        rank = [0] + [linalg.rank(boundary_matrix(complex_, k)) for k in range(d + 1)] + [0]
+        counts = [len(faces(complex_, k)) for k in range(-1, d + 1)]
+        expected = tuple(counts[i] - rank[i] - rank[i + 1] for i in range(d + 2))
+        rep = homology(complex_)
+        assert rep.ranks == expected
+        assert (rep.top_cycle is not None) == (expected[-1] == 1)
+        if rep.top_cycle is not None:
+            assert rep.top_cycle == linalg.kernel_basis(boundary_matrix(complex_, d)).vectors[0]
+
     @settings(max_examples=300, deadline=None)
     @given(ridge_complexes())
     @example(from_facets([{1}, {2}, {3}]))

@@ -7,7 +7,7 @@ which returns its report as a dict, and emits that report to stdout or
 byte-identical reports.  Exit codes: 0 success, 2 parse error,
 3 precondition violation, 4 hypothesis failure, 5 falsification event
 (an invariant the library asserts was violated by an exact computation).
-Every failure but an argument error writes a JSON error to stderr.
+Every failure writes a JSON error to stderr and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -290,8 +290,15 @@ def cmd_sop_verify(args, cx):
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ``ParseError``; subparsers share the class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lefkit",
         description="Exact Lefschetz-property toolkit for Stanley-Reisner rings.",
     )
@@ -359,12 +366,11 @@ _parser = lru_cache(maxsize=1)(build_parser)
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         cx = None if args.complex is None else complexes.load_complex(args.complex)
         _emit(args, args.fn(args, cx))
         return 0
+    except SystemExit as exc:  # --help, after printing its text
+        return exc.code or 0
     except LefkitError as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True)

@@ -14,7 +14,6 @@ vanishing degree by that frame's socle degree + 1.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -364,43 +363,6 @@ def twin_pairs(frame: ArtinianFrame) -> tuple:
     return tuple(sorted(p for g in groups.values() for p in zip(g[::2], g[1::2])))
 
 
-def _pair_classes(frame: ArtinianFrame, pairs) -> tuple:
-    """The classes of two or more twin pairs that automorphisms of the
-    frame permute, each as the ascending bit positions of its pairs.
-
-    For pairs (a, b) and (c, d), the vertex permutations (a c)(b d) and
-    (a d)(b c) map each pair onto the other.  One that keeps every cap
-    and maps the facet set onto itself is an automorphism of the frame
-    that fixes L, and it conjugates the swap of one pair into the swap of
-    the other, so on characters it swaps the two pairs' bits.  Pairs that
-    such automorphisms join form a class, and its swaps generate every
-    permutation of its bits.  If p is joined to q and q to r, conjugating
-    the first by the second joins p to r, so each pair is tested against
-    the first pair of each class only.
-    """
-    if len(pairs) < 2:
-        return ()
-    facets = set(frame.complex.facets)
-    caps = frame.cap_map
-
-    def joined(p, q):
-        (a, b), (c, d) = p, q
-        return any(
-            all(caps[v] == caps[w] for v, w in sigma.items())
-            and all(frozenset(sigma.get(v, v) for v in f) in facets for f in facets)
-            for sigma in ({a: c, c: a, b: d, d: b}, {a: d, d: a, b: c, c: b})
-        )
-
-    classes = []
-    for i, pair in enumerate(pairs):
-        home = next((bits for bits in classes if joined(pairs[bits[0]], pair)), None)
-        if home is None:
-            classes.append([i])
-        else:
-            home.append(i)
-    return tuple(bits for bits in classes if len(bits) > 1)
-
-
 class IsotypicMaps:
     """×L of a frame in the symmetry-adapted bases of its twin swaps.
 
@@ -434,25 +396,16 @@ class IsotypicMaps:
     products are taken on Δ': x_v r for v in V∖B, with entry 2 where v is
     a first twin missing from r, and 1 otherwise.
 
-    An automorphism that permutes the pairs and fixes L maps block S onto
-    a similar block, so the blocks of one orbit of characters have equal
-    ranks (``_pair_classes``); the orbit of S holds every mask with as
-    many bits as S in each class of pairs.  ``matrices(k)`` builds only
-    the block of the least mask of each orbit, and lays the blocks of
-    orbits of one size w along one diagonal: the rank of ×L is the sum of
-    w times the rank of each.  The maps of consecutive degrees compose
-    diagonal by diagonal.  With no classes every character is its own
-    orbit, and matrix 1 holds every block, in ascending S; without twins
-    it is ``multiplication_matrix(frame, L, k)``.  Products are taken on
-    the exponent tuples (``_times``); no ``Monomial`` is built.  Each
-    degree's layout is built on first use and kept with the instance, so
-    maps taken in any order share it.
+    ``matrix(k)`` lays every block along its diagonal, characters
+    ascending; without twins it is ``multiplication_matrix(frame, L, k)``.
+    Products are taken on the exponent tuples (``_times``); no
+    ``Monomial`` is built.  Each degree's layout is built on first use and
+    kept with the instance, so maps taken in any order share it.
     """
 
     def __init__(self, frame: ArtinianFrame):
         self.frame = frame
         self.pairs = twin_pairs(frame)
-        self._classes = _pair_classes(frame, self.pairs)
         second = {b for _, b in self.pairs}
         self.orbit_frame = frame if not second else ArtinianFrame(
             SimplicialComplex([f - second for f in frame.complex.facets]),
@@ -471,19 +424,6 @@ class IsotypicMaps:
         self._candidates[None] = tuple((((w, 1),), bits.get(w, 0)) for w in cx.vertices)
         self._layouts = {}  # degree -> layout, built on first use
 
-    def orbit(self, s: int) -> tuple:
-        """The least character in the orbit of S, and the orbit's size."""
-        least, size = s, 1
-        for bits in self._classes:
-            n = 0
-            for b in bits:
-                n += s >> b & 1
-                least &= ~(1 << b)
-            for b in bits[:n]:
-                least |= 1 << b
-            size *= math.comb(len(bits), n)
-        return least, size
-
     def _unbalanced(self, r) -> int:
         """The unbalanced mask of a representative: its first twins."""
         bits = self._bits
@@ -493,12 +433,12 @@ class IsotypicMaps:
         return free
 
     def _layout(self, k: int) -> tuple:
-        """The least character S of each orbit of size w mapped to (w,
-        basis), and each w to the length of diagonal w, in degree k.  The
-        basis of S is the representatives whose balanced mask misses S, in
-        standard-monomial order, each mapped to its position along
-        diagonal w, where the characters ascend.  The trivial character is
-        its own orbit, so its basis, every representative, is there."""
+        """Each character S filed in degree k mapped to its basis, and the
+        length of the diagonal.  The basis of S is the representatives
+        whose balanced mask misses S, in standard-monomial order, each
+        mapped to its position along the diagonal, where the characters
+        ascend.  The trivial character's basis holds every
+        representative."""
         bases = {}
         filed = {}  # unbalanced mask -> the characters its monomials are filed under
         for r in standard_monomials(self.orbit_frame.complex, k, self.orbit_frame.caps):
@@ -506,42 +446,34 @@ class IsotypicMaps:
             chars = filed.get(free)
             if chars is None:
                 # the characters trivial on the stabiliser: submasks of free
-                chars, s = [], free
-                while True:
-                    if self.orbit(s)[0] == s:
-                        chars.append(s)
-                    if not s:
-                        break
+                chars = filed[free] = [free]
+                s = free
+                while s:
                     s = (s - 1) & free
-                filed[free] = chars
+                    chars.append(s)
             for s in chars:
                 bases.setdefault(s, []).append(r)
-        out = {}
-        lengths = {}
+        out, length = {}, 0
         for s in sorted(bases):
-            w = self.orbit(s)[1]
-            start = lengths.get(w, 0)
-            lengths[w] = start + len(bases[s])
-            out[s] = (w, dict(zip(bases[s], range(start, lengths[w]))))
-        return out, lengths
+            out[s] = dict(zip(bases[s], range(length, length + len(bases[s]))))
+            length += len(bases[s])
+        return out, length
 
-    def matrices(self, k: int) -> dict:
-        """×L from degree k to k + 1, as {w: matrix}: the blocks of the
-        least character of each orbit of size w lie along the diagonal of
-        matrix w, characters ascending."""
+    def matrix(self, k: int) -> linalg.ExactMatrix:
+        """×L from degree k to k + 1, every character's block along the
+        diagonal, characters ascending."""
         layouts = self._layouts
         for d in (k, k + 1):
             if d not in layouts:
                 layouts[d] = self._layout(d)
-        (src, src_lengths), (dst, dst_lengths) = layouts[k], layouts[k + 1]
-        reps = dst[0][1] if dst else {}  # every representative lies in the trivial block
+        (src, width), (dst, height) = layouts[k], layouts[k + 1]
+        reps = dst.get(0, {})  # every representative lies in the trivial block
         candidates = self._candidates
         products = {}
-        diagonals = {w: {} for w in src_lengths.keys() | dst_lengths.keys()}
-        for s, (w, cols) in src.items():
-            rows = dst[s][1] if s in dst else {}
-            entries = diagonals[w]
-            for r, j in cols.items():
+        entries = {}
+        for s, basis in src.items():
+            rows = dst.get(s, {})
+            for r, j in basis.items():
                 targets = products.get(r)
                 if targets is None:
                     free = self._unbalanced(r) if self.pairs else 0
@@ -554,15 +486,81 @@ class IsotypicMaps:
                     ]
                 for q, c in targets:
                     entries[rows[q], j] = c
-        return {
-            w: linalg.ExactMatrix._trusted(dst_lengths.get(w, 0), src_lengths.get(w, 0), entries)
-            for w, entries in diagonals.items()
-        }
+        return linalg.ExactMatrix._trusted(height, width, entries)
 
 
-def _weighted_rank(diagonals: dict) -> int:
-    """The rank of a map given as ``IsotypicMaps.matrices`` gives it."""
-    return sum(w * linalg.rank(m) for w, m in diagonals.items())
+def _suspension_strings(frame: ArtinianFrame) -> Optional[Counter]:
+    """The graded Jordan type of ×L as a Counter of strings (start degree,
+    length) when Δ is a simplex joined with suspensions, Δ = C * {a_1,
+    b_1} * ... * {a_t, b_t}; None for any other Δ.
+
+    Detection.  C is the set of vertices in every facet and t = (|V| -
+    |C|) / 2.  Δ is such a join exactly when there are 2^t facets, each of
+    |C| + t vertices, and each vertex outside C shares no face with
+    exactly one vertex.  Those vertices then fall into t pairs.  A facet
+    holds C and no non-edge, so at most one vertex of each pair, and its
+    size forces exactly one.  So the facets are transversals of the
+    pairs, and 2^t distinct ones are all of them.  (Without the size test
+    the non-pure {13, 14, 15, 16, 235, 236, 245, 246} would pass.)
+
+    Strings.  A string (s, m) is an f in A_s with L^m f = 0 and f, Lf, ...,
+    L^{m-1} f nonzero; a Jordan basis of ×L splits A into the spans of
+    strings.  The ring of a join is the tensor product of its factors'
+    rings, caps included, with L = L_1 ⊗ 1 + 1 ⊗ L_2.  A cone vertex with
+    cap a gives K[x]/(x^a), one string (0, a).  A pair with caps a <= b
+    gives K[x, y]/(xy, x^a, y^b), spanned by 1, x^i (0 < i < a) and y^i
+    (0 < i < b).  L^i = x^i + y^i is nonzero exactly for i < b, and with
+    x^i it spans x^i and y^i, so the strings are (0, b) from 1 and
+    (1, a - 1) from x.
+
+    Tensor products.  The string (s, m) is the irreducible sl_2-module of
+    dimension m, L raising, weighted by degree minus its centre
+    s + (m - 1)/2.  Over ℚ the product of two such modules, L_1 ⊗ 1 +
+    1 ⊗ L_2 raising, splits into irreducibles of dimensions m + n - 1 - 2i,
+    0 <= i < min(m, n), all centred at the sum of the centres: (s, m)
+    times (u, n) is the strings (s + u + i, m + n - 1 - 2i), the graded
+    Clebsch-Gordan rule (Harima-Maeno-Morita-Numata-Wachi-Watanabe, The
+    Lefschetz Properties, LNM 2080).
+
+    Ranks.  ×L^j from degree i keeps the degree-i element of a string
+    nonzero exactly when the string covers i + j too, and distinct strings
+    map independently, so the rank counts the strings covering i and
+    i + j (``_covering``).
+    """
+    facets, vertices = frame.complex.facets, frame.complex.vertices
+    cone = frozenset.intersection(*facets)
+    t, odd = divmod(len(vertices) - len(cone), 2)
+    if odd or len(facets) != 1 << t or any(len(f) != len(cone) + t for f in facets):
+        return None
+    near = {v: set() for v in vertices}  # v and the vertices it shares a face with
+    for f in facets:
+        for v in f:
+            near[v] |= f
+    caps = frame.cap_map
+    strings = Counter({(0, 1): 1})
+    for v in vertices:
+        apart = set(vertices) - near[v]
+        if v in cone:
+            factor = ((0, caps[v]),)
+        elif len(apart) != 1:
+            return None
+        elif v < min(apart):
+            a, b = sorted((caps[v], caps[min(apart)]))
+            factor = ((0, b), (1, a - 1))
+        else:
+            continue  # taken with its partner
+        joined = Counter()
+        for (s, m), c in strings.items():
+            for u, n in factor:
+                for i in range(min(m, n)):
+                    joined[s + u + i, m + n - 1 - 2 * i] += c
+        strings = joined
+    return strings
+
+
+def _covering(strings: Counter, i: int, j: int) -> int:
+    """The rank of ×L^j from degree i: the strings covering i and i + j."""
+    return sum(c for (s, m), c in strings.items() if s <= i and i + j < s + m)
 
 
 def wlp_check(frame: ArtinianFrame) -> WlpReport:
@@ -570,12 +568,13 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     every degree up to the socle degree.  For monomial algebras that
     single linear form decides the weak Lefschetz property.
 
-    Each rank is that of ×L in the symmetry-adapted bases of the frame's
-    twin swaps (``IsotypicMaps``): one block per orbit of characters,
-    its rank weighted by the orbit's size, and one elimination per orbit
-    size.  The dimensions are counted (``hilbert_series``), so the basis
-    of a degree is enumerated only if its map is eliminated.  Two rules set
-    ranks the theory decides, without elimination.
+    When Δ is a simplex joined with suspensions, every rank is read from
+    the graded Jordan type of ×L (``_suspension_strings``).  Otherwise
+    each rank is that of ×L in the symmetry-adapted bases of the frame's
+    twin swaps (``IsotypicMaps``).  The dimensions are counted
+    (``hilbert_series``), so the basis of a degree is enumerated only if
+    its map is eliminated.  Two rules set ranks the theory decides,
+    without elimination.
 
     Down: if ×L is injective on A_{k+1} and A_k holds no socle
     (``ArtinianFrame.socle_degrees``), it is injective on A_k.  For f in
@@ -591,25 +590,29 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     map their ranks are set to the target dimension.  ``IsotypicMaps``
     keeps every layout it builds, so no layout is built twice.
     """
-    maps = IsotypicMaps(frame)
     socle = frame.socle_degree()
-    holds_socle = frame.socle_degrees()
     dims = hilbert_series(frame)
-    ranks = [None] * socle
-    injective = False  # on A_{k+1}
-    for k in reversed(range(socle)):
-        if dims[k] > dims[k + 1]:
-            injective = False
-        elif injective and k not in holds_socle:
-            ranks[k] = dims[k]
-        else:
-            ranks[k] = _weighted_rank(maps.matrices(k))
-            injective = ranks[k] == dims[k]
-    onto = False
-    for k in range(socle):
-        if ranks[k] is None:
-            ranks[k] = dims[k + 1] if onto else _weighted_rank(maps.matrices(k))
-        onto = ranks[k] == dims[k + 1]
+    strings = _suspension_strings(frame)
+    if strings is not None:
+        ranks = [_covering(strings, k, 1) for k in range(socle)]
+    else:
+        maps = IsotypicMaps(frame)
+        holds_socle = frame.socle_degrees()
+        ranks = [None] * socle
+        injective = False  # on A_{k+1}
+        for k in reversed(range(socle)):
+            if dims[k] > dims[k + 1]:
+                injective = False
+            elif injective and k not in holds_socle:
+                ranks[k] = dims[k]
+            else:
+                ranks[k] = linalg.rank(maps.matrix(k))
+                injective = ranks[k] == dims[k]
+        onto = False
+        for k in range(socle):
+            if ranks[k] is None:
+                ranks[k] = dims[k + 1] if onto else linalg.rank(maps.matrix(k))
+            onto = ranks[k] == dims[k + 1]
     per = []
     for k, r in enumerate(ranks):
         a, b = dims[k], dims[k + 1]
@@ -622,33 +625,37 @@ def slp_check(frame: ArtinianFrame) -> SlpReport:
     """Full-rank report for all powers of the linear form: the rank of
     ×L^j from degree i to i + j for every pair, in order of j, then i.
 
-    Each ×L map M_k is built once, as the blocks of one character per
-    orbit, one diagonal per orbit size (``IsotypicMaps.matrices``), and
-    ×L^j from degree i is M_{i+j-1} times ×L^{j-1} from degree i,
-    diagonal by diagonal; its rank is each diagonal's rank times its
-    orbit size.  As in ``wlp_check``, once L^j A_i = A_{i+j} the maps
-    from later degrees are onto too (A_{i+1+j} = A_1 L^j A_i =
+    When Δ is a simplex joined with suspensions, every rank is read from
+    the graded Jordan type of ×L (``_suspension_strings``).  Otherwise
+    each ×L map M_k is built once, in the symmetry-adapted bases
+    (``IsotypicMaps.matrix``), and ×L^j from degree i is M_{i+j-1} times
+    ×L^{j-1} from degree i.  As in ``wlp_check``, once L^j A_i = A_{i+j}
+    the maps from later degrees are onto too (A_{i+1+j} = A_1 L^j A_i =
     L^j A_{i+1}), so their ranks are not computed; their products still
     are, since the next power is composed from them.
     """
-    maps = IsotypicMaps(frame)
     socle = frame.socle_degree()
     dims = hilbert_series(frame)
-    steps = [maps.matrices(k) for k in range(socle)]
-    onto = set()  # powers j onto from some lower degree
-    per = []
-    for i in range(socle):
-        power = steps[i]
-        for j in range(1, socle - i + 1):
-            if j > 1:
-                step = steps[i + j - 1]
-                power = {w: step[w] @ m for w, m in power.items() if w in step}
-            a, b = dims[i], dims[i + j]
-            r = b if j in onto else _weighted_rank(power)
-            if r == b:
-                onto.add(j)
-            per.append((j, i, a, b, r, r == min(a, b)))
-    per.sort()
+    strings = _suspension_strings(frame)
+    ranks = {}  # (j, i) -> rank of ×L^j from degree i
+    if strings is not None:
+        for i in range(socle):
+            for j in range(1, socle - i + 1):
+                ranks[j, i] = _covering(strings, i, j)
+    else:
+        maps = IsotypicMaps(frame)
+        steps = [maps.matrix(k) for k in range(socle)]
+        onto = set()  # powers j onto from some lower degree
+        for i in range(socle):
+            power = steps[i]
+            for j in range(1, socle - i + 1):
+                if j > 1:
+                    power = steps[i + j - 1] @ power
+                r = ranks[j, i] = dims[i + j] if j in onto else linalg.rank(power)
+                if r == dims[i + j]:
+                    onto.add(j)
+    per = [(j, i, dims[i], dims[i + j], r, r == min(dims[i], dims[i + j]))
+           for (j, i), r in sorted(ranks.items())]
     return SlpReport(all(p[5] for p in per), socle, tuple(per))
 
 

@@ -355,3 +355,22 @@ class TestParser:
         assert run(capsys, "info", "--bogus")[0] == 2
         assert run_json(capsys, "info", "--complex", fixture_path("c4"))["f_vector"] == [1, 4, 4]
         assert run(capsys, "hesd", "--complex", fixture_path("edge"), "--r", "2")[0] == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (("info", "--complex", "oct", "--screen", "7"), "unrecognized arguments: --screen 7"),
+        (("wlp", "--caps", "2"), "the following arguments are required: --complex"),
+        (("nosuch", "--complex", "oct"), "invalid choice: 'nosuch'"),
+        (("kernel", "--complex", "oct", "--caps", "2", "--degree", "x"), "invalid int value"),
+    ], ids=["unknown-flag", "missing-complex", "unknown-subcommand", "bad-int"])
+    def test_argument_errors_are_json_parse_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, *with_complex(argv, fixture_path))
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "ParseError"
+        assert message in error["message"]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("wlp", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: lefkit")

@@ -188,12 +188,12 @@ def cmd_kernel(args, cx):
     if args.embed_matrices or args.screen:
         mat = monomials.multiplication_matrix(frame, frame.linear_form(), args.degree - 1)
         _attach_matrix(args, payload, "matrix", mat)
-    # every transpose-kernel element obeys the divergence degree bound
+    # every transpose-kernel element, rescaled by divided powers, obeys the
+    # divergence degree bound
     cap = max(frame.cap_map.values())
     for p in piece.basis:
-        rescaled = monomials.divided_power_rescale(p)
         try:
-            ok = lf.divergence_bound_check(rescaled, cap, n=len(cx.vertices))
+            ok = lf.contraction_bound_check(p, cap, n=len(cx.vertices))
         except HypothesisError as exc:
             raise FalsificationError(f"kernel element fails divergence hypotheses: {exc}")
         if not ok:

@@ -489,10 +489,23 @@ class IsotypicMaps:
         return linalg.ExactMatrix._trusted(height, width, entries)
 
 
-def _suspension_strings(frame: ArtinianFrame) -> Optional[Counter]:
+def _tensor(strings: Counter, factor) -> Counter:
+    """The strings of ×L on a tensor product, L = L_1 ⊗ 1 + 1 ⊗ L_2: (s, m)
+    times (u, n) is the strings (s + u + i, m + n - 1 - 2i), 0 <= i <
+    min(m, n), by the graded Clebsch-Gordan rule (``_suspension_strings``)."""
+    joined = Counter()
+    for (s, m), c in strings.items():
+        for u, n in factor:
+            for i in range(min(m, n)):
+                joined[s + u + i, m + n - 1 - 2 * i] += c
+    return joined
+
+
+def _suspension_strings(facets, caps: dict) -> Optional[Counter]:
     """The graded Jordan type of ×L as a Counter of strings (start degree,
-    length) when Δ is a simplex joined with suspensions, Δ = C * {a_1,
-    b_1} * ... * {a_t, b_t}; None for any other Δ.
+    length) on the frame with these facets (distinct, none in another) and
+    caps when Δ is a simplex joined with suspensions, Δ = C * {a_1, b_1} *
+    ... * {a_t, b_t}; None for any other Δ.
 
     Detection.  C is the set of vertices in every facet and t = (|V| -
     |C|) / 2.  Δ is such a join exactly when there are 2^t facets, each of
@@ -520,14 +533,14 @@ def _suspension_strings(frame: ArtinianFrame) -> Optional[Counter]:
     0 <= i < min(m, n), all centred at the sum of the centres: (s, m)
     times (u, n) is the strings (s + u + i, m + n - 1 - 2i), the graded
     Clebsch-Gordan rule (Harima-Maeno-Morita-Numata-Wachi-Watanabe, The
-    Lefschetz Properties, LNM 2080).
+    Lefschetz Properties, LNM 2080; ``_tensor``).
 
     Ranks.  ×L^j from degree i keeps the degree-i element of a string
     nonzero exactly when the string covers i + j too, and distinct strings
     map independently, so the rank counts the strings covering i and
     i + j (``_covering``).
     """
-    facets, vertices = frame.complex.facets, frame.complex.vertices
+    vertices = set().union(*facets)
     cone = frozenset.intersection(*facets)
     t, odd = divmod(len(vertices) - len(cone), 2)
     if odd or len(facets) != 1 << t or any(len(f) != len(cone) + t for f in facets):
@@ -536,31 +549,99 @@ def _suspension_strings(frame: ArtinianFrame) -> Optional[Counter]:
     for f in facets:
         for v in f:
             near[v] |= f
-    caps = frame.cap_map
     strings = Counter({(0, 1): 1})
     for v in vertices:
-        apart = set(vertices) - near[v]
+        apart = vertices - near[v]
         if v in cone:
-            factor = ((0, caps[v]),)
+            strings = _tensor(strings, ((0, caps[v]),))
         elif len(apart) != 1:
             return None
         elif v < min(apart):
             a, b = sorted((caps[v], caps[min(apart)]))
-            factor = ((0, b), (1, a - 1))
-        else:
-            continue  # taken with its partner
-        joined = Counter()
-        for (s, m), c in strings.items():
-            for u, n in factor:
-                for i in range(min(m, n)):
-                    joined[s + u + i, m + n - 1 - 2 * i] += c
-        strings = joined
+            strings = _tensor(strings, ((0, b), (1, a - 1)))
     return strings
 
 
+def _peeled_strings(frame: ArtinianFrame) -> Optional[tuple]:
+    """Strings (start degree, length) whose count over each (j, i), the
+    strings covering i and i + j, bounds rank(×L^j: A_i → A_{i+j}) from
+    below, and whether that bound is the rank; None when the peel below
+    gets stuck.
+
+    The peel.  While Δ is no simplex joined with suspensions, take the
+    first vertex v, ordered by (number of facets holding it, id), whose
+    link is one, add the strings of its star piece and go on with the
+    deletion Δ - v.  Once Δ is such a join, add its strings
+    (``_suspension_strings``) and stop.  If no vertex qualifies, give up.
+    The bound is the rank only when no vertex was peeled.
+
+    Why the bound holds.  Let A = K[Δ]/(x_u^{a_u}).  There is a short exact
+    sequence of graded K[L]-modules 0 → x_v A → A → A/x_v A → 0.
+    A/x_v A is the frame on the deletion Δ - v (the faces missing v) with
+    the same caps.  x_v A ≅ (A/ann x_v)(-1), and x_v m = 0 exactly when
+    supp(m) ∪ {v} is no face or m holds x_v^{a_v - 1}, so A/ann x_v is the
+    frame on the star of v with cap a_v - 1 on v, that is K[x_v]/
+    (x_v^{a_v - 1}) tensored with the frame on lk v; at a_v = 2 it is the
+    frame on lk v, and K when lk v is empty.  Its strings are the link's
+    tensored with (0, a_v - 1), and the shift by one degree makes that
+    factor (1, a_v - 1) (``_tensor``).  In a basis of A through a basis
+    of x_v A, ×L^j is block triangular, so its rank is at least the sum of
+    the ranks of the two diagonal blocks: ×L^j on the star piece, read
+    from its strings, and on the deletion, bounded in turn by its own
+    peel.  A bound that reaches min(dim A_i, dim A_{i+j}) is the rank.
+    The pieces split A as a graded vector space, so the strings covering
+    k count dim A_k exactly, peeled or not.
+
+    The deletion's facets are the facets missing v and those f - v not
+    inside one of them; the peel works on these facet sets and a cap dict
+    and builds no complex or frame.  A peel ends, since each step drops a
+    vertex and the complex of the empty face is a simplex.
+    """
+    facets = frame.complex.facets
+    caps = frame.cap_map
+    strings = Counter()
+    exact = True
+    while (leaf := _suspension_strings(facets, caps)) is None:
+        holding = Counter(v for f in facets for v in f)
+        for v in sorted(holding, key=lambda v: (holding[v], v)):
+            link = [f - {v} for f in facets if v in f]
+            piece = _suspension_strings(link, caps)
+            if piece is not None:
+                break
+        else:
+            return None
+        strings += _tensor(piece, ((1, caps[v] - 1),))
+        rest = [f for f in facets if v not in f]
+        facets = rest + [g for g in link if not any(g <= f for f in rest)]
+        exact = False
+    return strings + leaf, exact
+
+
 def _covering(strings: Counter, i: int, j: int) -> int:
-    """The rank of ×L^j from degree i: the strings covering i and i + j."""
+    """The strings covering i and i + j: the rank of ×L^j from degree i on
+    a Jordan type, dim A_i at j = 0."""
     return sum(c for (s, m), c in strings.items() if s <= i and i + j < s + m)
+
+
+def _certified(peeled, dims, i: int, j: int) -> Optional[int]:
+    """rank(×L^j: A_i → A_{i+j}) where the peel (``_peeled_strings``)
+    decides it: always when its bound is exact, and otherwise where the
+    bound reaches min(dim A_i, dim A_{i+j}); None where it leaves the rank
+    open."""
+    if peeled is None:
+        return None
+    strings, exact = peeled
+    bound = _covering(strings, i, j)
+    return bound if exact or bound == min(dims[i], dims[i + j]) else None
+
+
+def _dimensions(frame: ArtinianFrame, peeled, socle: int) -> tuple:
+    """dim A_k for k from 0 to the socle degree: the strings covering k
+    when the peel completed, counted from the faces (``hilbert_series``)
+    when it got stuck."""
+    if peeled is None:
+        return hilbert_series(frame)
+    return tuple(_covering(peeled[0], k, 0) for k in range(socle + 1))
 
 
 def wlp_check(frame: ArtinianFrame) -> WlpReport:
@@ -568,21 +649,23 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     every degree up to the socle degree.  For monomial algebras that
     single linear form decides the weak Lefschetz property.
 
-    When Δ is a simplex joined with suspensions, every rank is read from
-    the graded Jordan type of ×L (``_suspension_strings``).  Otherwise
-    each rank is that of ×L in the symmetry-adapted bases of the frame's
-    twin swaps (``IsotypicMaps``).  The dimensions are counted
-    (``hilbert_series``), so the basis of a degree is enumerated only if
-    its map is eliminated.  Two rules set ranks the theory decides,
-    without elimination.
+    A rank is read without elimination where the vertex peel
+    (``_peeled_strings``) decides it: every rank when Δ is a simplex
+    joined with suspensions, full rank wherever the peel's lower bound
+    reaches it.  The dimensions come from the same strings, or are
+    counted from the faces (``hilbert_series``) when the peel gets stuck.
+    Any other rank is that of ×L in the symmetry-adapted bases of the
+    frame's twin swaps (``IsotypicMaps``, built at the first elimination).
+    Two rules set ranks the theory decides, and the bound is read only
+    where they leave a rank open.
 
     Down: if ×L is injective on A_{k+1} and A_k holds no socle
     (``ArtinianFrame.socle_degrees``), it is injective on A_k.  For f in
     A_k with Lf = 0, L(x_v f) = x_v Lf = 0, so x_v f = 0 for every v, so
     f is in the socle, so f = 0 (Migliore–Miró-Roig–Nagel, Trans. AMS 363
     (2011), Prop. 2.1).  So the degrees with dim A_k <= dim A_{k+1} are
-    taken first, descending, eliminating until one is injective and
-    setting the rank to dim A_k below it until the next socle degree.
+    taken first, descending, ranking until one is injective and setting
+    the rank to dim A_k below it until the next socle degree.
 
     Up: the algebra is generated in degree 1, so once L A_k = A_{k+1}
     every later map is onto as well (A_{k+2} = A_1 L A_k = L A_{k+1}).
@@ -590,29 +673,35 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     map their ranks are set to the target dimension.  ``IsotypicMaps``
     keeps every layout it builds, so no layout is built twice.
     """
-    socle = frame.socle_degree()
-    dims = hilbert_series(frame)
-    strings = _suspension_strings(frame)
-    if strings is not None:
-        ranks = [_covering(strings, k, 1) for k in range(socle)]
-    else:
-        maps = IsotypicMaps(frame)
-        holds_socle = frame.socle_degrees()
-        ranks = [None] * socle
-        injective = False  # on A_{k+1}
-        for k in reversed(range(socle)):
-            if dims[k] > dims[k + 1]:
-                injective = False
-            elif injective and k not in holds_socle:
-                ranks[k] = dims[k]
-            else:
-                ranks[k] = linalg.rank(maps.matrix(k))
-                injective = ranks[k] == dims[k]
-        onto = False
-        for k in range(socle):
-            if ranks[k] is None:
-                ranks[k] = dims[k + 1] if onto else linalg.rank(maps.matrix(k))
-            onto = ranks[k] == dims[k + 1]
+    holds_socle = frame.socle_degrees()
+    socle = max(holds_socle)
+    peeled = _peeled_strings(frame)
+    dims = _dimensions(frame, peeled, socle)
+    maps = None
+
+    def rank(k):
+        nonlocal maps
+        r = _certified(peeled, dims, k, 1)
+        if r is None:
+            maps = maps or IsotypicMaps(frame)
+            r = linalg.rank(maps.matrix(k))
+        return r
+
+    ranks = [None] * socle
+    injective = False  # on A_{k+1}
+    for k in reversed(range(socle)):
+        if dims[k] > dims[k + 1]:
+            injective = False
+        elif injective and k not in holds_socle:
+            ranks[k] = dims[k]
+        else:
+            ranks[k] = rank(k)
+            injective = ranks[k] == dims[k]
+    onto = False
+    for k in range(socle):
+        if ranks[k] is None:
+            ranks[k] = dims[k + 1] if onto else rank(k)
+        onto = ranks[k] == dims[k + 1]
     per = []
     for k, r in enumerate(ranks):
         a, b = dims[k], dims[k + 1]
@@ -625,35 +714,37 @@ def slp_check(frame: ArtinianFrame) -> SlpReport:
     """Full-rank report for all powers of the linear form: the rank of
     ×L^j from degree i to i + j for every pair, in order of j, then i.
 
-    When Δ is a simplex joined with suspensions, every rank is read from
-    the graded Jordan type of ×L (``_suspension_strings``).  Otherwise
-    each ×L map M_k is built once, in the symmetry-adapted bases
+    As in ``wlp_check``, a pair the vertex peel decides takes its rank
+    from the strings (``_peeled_strings``), every pair when Δ is a
+    simplex joined with suspensions.  And once L^j A_i = A_{i+j} the maps
+    from later degrees are onto too (A_{i+1+j} = A_1 L^j A_i =
+    L^j A_{i+1}).  The other pairs are eliminated: each ×L map M_k is
+    built at most once, in the symmetry-adapted bases
     (``IsotypicMaps.matrix``), and ×L^j from degree i is M_{i+j-1} times
-    ×L^{j-1} from degree i.  As in ``wlp_check``, once L^j A_i = A_{i+j}
-    the maps from later degrees are onto too (A_{i+1+j} = A_1 L^j A_i =
-    L^j A_{i+1}), so their ranks are not computed; their products still
-    are, since the next power is composed from them.
+    ×L^{j-1} from degree i, composed up to the highest power still open
+    from degree i.
     """
     socle = frame.socle_degree()
-    dims = hilbert_series(frame)
-    strings = _suspension_strings(frame)
+    peeled = _peeled_strings(frame)
+    dims = _dimensions(frame, peeled, socle)
+    maps, steps = None, {}  # the ×L maps M_k, built on first use
     ranks = {}  # (j, i) -> rank of ×L^j from degree i
-    if strings is not None:
-        for i in range(socle):
-            for j in range(1, socle - i + 1):
-                ranks[j, i] = _covering(strings, i, j)
-    else:
-        maps = IsotypicMaps(frame)
-        steps = [maps.matrix(k) for k in range(socle)]
-        onto = set()  # powers j onto from some lower degree
-        for i in range(socle):
-            power = steps[i]
-            for j in range(1, socle - i + 1):
-                if j > 1:
-                    power = steps[i + j - 1] @ power
-                r = ranks[j, i] = dims[i + j] if j in onto else linalg.rank(power)
-                if r == dims[i + j]:
-                    onto.add(j)
+    onto = set()  # powers j onto from some lower degree
+    for i in range(socle):
+        powers = range(1, socle - i + 1)
+        for j in powers:
+            ranks[j, i] = dims[i + j] if j in onto else _certified(peeled, dims, i, j)
+        top = max((j for j in powers if ranks[j, i] is None), default=0)
+        power = None
+        for j in range(1, top + 1):
+            k = i + j - 1
+            if k not in steps:
+                maps = maps or IsotypicMaps(frame)
+                steps[k] = maps.matrix(k)
+            power = steps[k] if power is None else steps[k] @ power
+            if ranks[j, i] is None:
+                ranks[j, i] = linalg.rank(power)
+        onto.update(j for j in powers if ranks[j, i] == dims[i + j])
     per = [(j, i, dims[i], dims[i + j], r, r == min(dims[i], dims[i + j]))
            for (j, i), r in sorted(ranks.items())]
     return SlpReport(all(p[5] for p in per), socle, tuple(per))
@@ -826,11 +917,25 @@ def divergence_bound_check(F: Polynomial, a: int, n: Optional[int] = None) -> bo
     verdict deg F <= n(a-1)/2 should always be true; a False return is a
     falsification event for the caller to report loudly.
     """
+    return _degree_bound_check(F, a, n, differentiate)
+
+
+def contraction_bound_check(F: Polynomial, a: int, n: Optional[int] = None) -> bool:
+    """``divergence_bound_check`` on the divided-power rescaling of F,
+    read from F itself.  ``differentiate`` is contraction conjugated by
+    that rescaling, so the sum of the variables differentiates the
+    rescaled F to zero exactly when it contracts F to zero; and the
+    rescaling keeps every monomial, so the exponent and degree bounds read
+    F's monomials.  No factorial is taken."""
+    return _degree_bound_check(F, a, n, contract)
+
+
+def _degree_bound_check(F, a, n, act) -> bool:
     if F.is_zero():
         raise HypothesisError("zero polynomial")
     variables = F.variables()
     L = sum_of_variables(variables)
-    if not differentiate(L, F).is_zero():
+    if not act(L, F).is_zero():
         raise HypothesisError("F must have zero divergence")
     for m in F.terms:
         if any(e >= a for _, e in m.exps):

@@ -7,7 +7,9 @@ from importlib import resources
 import pytest
 
 from lefkit import cli
+from lefkit import lefschetz as lf
 from lefkit.cli import main
+from lefkit.monomials import parse_polynomial
 
 
 def fixture_path(name):
@@ -157,6 +159,21 @@ class TestKernel:
             "--degree", "9",
         )
         assert payload["dimension"] == 7
+
+    def test_witness_with_nonzero_contraction_is_falsification(self, capsys, monkeypatch):
+        # x1^2 x2 - x2^3 keeps every exponent below 4, but L contracts it to
+        # x1 x2 + x1^2 - x2^2
+        witness = lf.InverseSystemPiece(3, (parse_polynomial("x1^2*x2 - x2^3"),))
+        monkeypatch.setattr(lf, "kernel_transpose_basis", lambda frame, k: witness)
+        code, out, err = run(
+            capsys, "kernel", "--complex", fixture_path("oct"), "--caps", "4",
+            "--degree", "3",
+        )
+        assert (code, out) == (5, "")
+        assert json.loads(err) == {
+            "error": "FalsificationError",
+            "message": "kernel element fails divergence hypotheses: F must have zero divergence",
+        }
 
     def test_bad_caps_is_precondition_error(self, capsys):
         code, _, err = run(

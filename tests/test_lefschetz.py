@@ -26,6 +26,7 @@ from lefkit.lefschetz import (
     SopCandidate,
     colored_dual_generator,
     colored_sop,
+    contraction_bound_check,
     divergence_bound_check,
     graph_wlp_classifier,
     ideal_membership,
@@ -464,6 +465,10 @@ EDGE_AND_POINT = ArtinianFrame(from_facets([{1, 2}, {3}]), {1: 5, 2: 5, 3: 2})
 # ×L fails injectivity on A_2 (a socle degree, dims 6 -> 6) and on A_1
 # (no socle, dims 5 -> 6), so no rank may be passed down from degree 2
 TWO_FAILURES = ArtinianFrame(from_facets([{1, 3}, {2, 4, 6}]), {1: 2, 2: 3, 3: 2, 4: 2, 6: 4})
+# the complete graph K4 at caps 4 and the isolated vertex 5 at cap 2; the
+# peel takes the point off and gets stuck on K4
+K4 = from_facets([{a, b} for a in range(1, 5) for b in range(a + 1, 5)])
+K4_AND_POINT = ArtinianFrame(from_facets([*K4.facets, {5}]), {1: 4, 2: 4, 3: 4, 4: 4, 5: 2})
 
 
 class TestSocleRule:
@@ -504,13 +509,26 @@ class TestSocleRule:
         assert TWO_FAILURES.socle_degrees() == {2, 6}
         assert [(p.dim_from, p.rank) for p in report.per_degree[:3]] == [(1, 1), (5, 4), (6, 5)]
 
-    def test_ball10_eliminates_three_degrees(self, cx, monkeypatch):
-        # dims rise to 1134 in degree 8; 7 is injective and no degree below
-        # holds socle, 8 is open (it fails surjectivity, 1134 -> 1076) and
-        # 9 is the first onto degree
+    def test_ball10_eliminates_one_degree(self, cx, monkeypatch):
+        # dims rise to 1134 in degree 8; the peel's bound certifies that 7
+        # is injective, and no degree below holds socle; 8 is open (it
+        # fails surjectivity, 1134 -> 1076), and the bound certifies that 9
+        # is onto
         report, eliminated = eliminated_degrees(monkeypatch, ArtinianFrame(cx("BALL10"), 4))
         assert [(p.k, p.rank) for p in report.failures()] == [(8, 1069)]
-        assert eliminated == {7, 8, 9}
+        assert eliminated == {8}
+
+    def test_dunce_eliminates_three_degrees(self, cx, monkeypatch):
+        # the peel gets stuck on DUNCE; at caps 5 the dims rise to 252 in
+        # degree 7 and the only socle degree is 12: 6 fails injectivity
+        # (242 -> 252, rank 241), 5 is injective, so 0 to 4 are decided;
+        # going up, 7 is the first onto degree, so 8 to 11 are decided
+        frame = ArtinianFrame(cx("DUNCE"), 5)
+        assert lefschetz._peeled_strings(frame) is None
+        report, eliminated = eliminated_degrees(monkeypatch, frame)
+        assert [(p.k, p.rank) for p in report.failures()] == [(6, 241)]
+        assert eliminated == {5, 6, 7}
+        assert report == check_direct(frame)
 
     @settings(max_examples=150, deadline=None)
     @given(capped_frames())
@@ -657,7 +675,9 @@ class TestComposedPowers:
 
     def test_only_linear_maps_are_built(self, cx, monkeypatch):
         # frames that take the walk: no fixture here is a simplex joined
-        # with suspensions, and K33 has twins
+        # with suspensions, and K33 has twins; the peel is stuck on DUNCE
+        # and K33, so every ×L map is built there, and it certifies every
+        # pair of FAN4, so none is built there
         calls, built = [], []
         real, real_matrix = lefschetz.multiplication_matrix, IsotypicMaps.matrix
 
@@ -677,9 +697,14 @@ class TestComposedPowers:
             calls.clear()
             built.clear()
             slp_check(frame)
-            # each ×L map once, in the symmetry-adapted bases; no L^j expanded
+            # each ×L map at most once, in the symmetry-adapted bases; no
+            # L^j expanded
             assert not calls, frame
-            assert built == list(range(frame.socle_degree())), frame
+            assert built == sorted(set(built)), frame
+            if lefschetz._peeled_strings(frame) is None:
+                assert built == list(range(frame.socle_degree())), frame
+            elif frame.complex == cx("FAN4"):
+                assert built == [], frame
 
     def test_first_power_matches_wlp(self, cx):
         frames = [*fixture_frames(cx), ArtinianFrame(cx("BALL10"), 3),
@@ -886,6 +911,27 @@ class TestDivergenceBound:
             for F in vecs:
                 combo = combo + rng.randint(1, 5) * F
             assert divergence_bound_check(divided_power_rescale(combo), 2, n=6)
+
+    @pytest.mark.parametrize("name, caps, k", [("OCT", 2, 3), ("OCT", 5, 7), ("BALL10", 4, 9),
+                                               ("C4", 3, 4)])
+    def test_contraction_on_the_unscaled_witness(self, cx, name, caps, k):
+        # the check the CLI runs on kernel witnesses, against the rescaled
+        # polynomial's divergence check
+        frame = ArtinianFrame(cx(name), caps)
+        n = len(frame.complex.vertices)
+        for F in kernel_transpose_basis(frame, k).basis:
+            expected = divergence_bound_check(divided_power_rescale(F), caps, n=n)
+            assert contraction_bound_check(F, caps, n=n) == expected
+
+    @pytest.mark.parametrize("text, cap", [("x1", 2), ("x1^2*x2 - x2^3", 4),
+                                           ("x1^2 - x1*x2", 2), ("x1^2 - 2 x1*x2", 3)])
+    def test_contraction_refuses_as_the_rescaled_check_does(self, text, cap):
+        F = P(text)
+        with pytest.raises(HypothesisError) as rescaled:
+            divergence_bound_check(divided_power_rescale(F), cap)
+        with pytest.raises(HypothesisError) as unscaled:
+            contraction_bound_check(F, cap)
+        assert str(unscaled.value) == str(rescaled.value)
 
 
 class TestDaoNair:
@@ -1715,15 +1761,15 @@ class TestOneLayoutPerDegree:
     def test_suspended_ball10_caps3(self, cx):
         # BALL10 * S^0 is no simplex joined with suspensions, and its one
         # twin pair is the suspension; 6 fails injectivity (1362 -> 1484),
-        # so 5 is eliminated too; 7 fails surjectivity and 8 is the first
-        # onto map
+        # and the peel's bound certifies that 5 is injective; 7 fails
+        # surjectivity, and the bound certifies that 8 is onto
         ball = cx("BALL10")
         frame = ArtinianFrame(
             from_facets([f | {11} for f in ball.facets] + [f | {12} for f in ball.facets]), 3)
         report, built, eliminated = recorded(frame)
         assert twin_pairs(frame) == ((11, 12),)
-        assert built == [5, 6, 7, 8, 9]
-        assert eliminated == {5, 6, 7, 8}
+        assert built == [6, 7, 8]
+        assert eliminated == {6, 7}
         assert [(p.k, p.failure_mode) for p in report.failures()] == [
             (6, "injectivity"), (7, "surjectivity")]
 
@@ -1737,13 +1783,15 @@ class TestOneLayoutPerDegree:
         assert [p.rank for p in report.per_degree] == direct
 
     def test_two_stretches(self):
-        # dims 1, 3, 3, 4, 5, 4, ...: 3 is injective and 4 the first onto
-        # map; 2 is decided, and x3 is socle in degree 1, so ×L fails
+        # the peel gets stuck on K4; with the point 5 at cap 2 the dims
+        # are 1, 5, 10, 16, 18, 12, 6: 3 is injective and 4 the first onto
+        # map; 2 is decided, and x5 is socle in degree 1, so ×L fails
         # injectivity there and 0 is eliminated as well
-        report, built, eliminated = recorded(EDGE_AND_POINT)
+        assert lefschetz._peeled_strings(K4_AND_POINT) is None
+        report, built, eliminated = recorded(K4_AND_POINT)
         assert eliminated == {0, 1, 3, 4}
         assert built == [0, 1, 2, 3, 4, 5]
-        assert report == check_direct(EDGE_AND_POINT)
+        assert report == check_direct(K4_AND_POINT)
 
     @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
     def test_relabelled_fixtures_caps_2_to_5(self, cx, name):
@@ -1774,6 +1822,11 @@ def slp_composed(frame):
         per.append((j, i, dims[i], dims[i + j], r, r == min(dims[i], dims[i + j])))
     per.sort()
     return SlpReport(all(p[5] for p in per), frame.socle_degree(), tuple(per))
+
+
+def suspension_strings(frame):
+    """``lefschetz._suspension_strings`` on the frame's facets and caps."""
+    return lefschetz._suspension_strings(frame.complex.facets, frame.cap_map)
 
 
 def frame_dimension(caps, cone):
@@ -1826,7 +1879,7 @@ class TestSuspensions:
     @example(MIXED_PAIR_CONE)
     @example(ArtinianFrame(cross_polytope(2), {1: 2, 2: 5, 3: 3, 4: 4}))
     def test_wlp_ranks_match_direct(self, frame):
-        strings = lefschetz._suspension_strings(frame)
+        strings = suspension_strings(frame)
         assert strings is not None
         dims = hilbert_series(frame)
         assert [lefschetz._covering(strings, k, 0) for k in range(len(dims))] == list(dims)
@@ -1843,7 +1896,7 @@ class TestSuspensions:
                   ArtinianFrame(cx("PATH3"), [3, 2, 4]), ArtinianFrame(cx("EDGE"), [2, 4]),
                   ArtinianFrame(cx("C4"), [2, 3, 4, 5])]
         for frame in frames:
-            assert lefschetz._suspension_strings(frame) is not None
+            assert suspension_strings(frame) is not None
             assert slp_check(frame) == slp_reference(frame), frame
 
     @pytest.mark.parametrize("name", ["OCT", "CROSS4", "C4", "PATH3", "EDGE"])
@@ -1855,17 +1908,147 @@ class TestSuspensions:
     @pytest.mark.parametrize("caps", [2, 3, 4])
     def test_non_pure_transversals_take_the_walk(self, caps):
         frame = ArtinianFrame(NON_PURE_TRANSVERSALS, caps)
-        assert lefschetz._suspension_strings(frame) is None
+        assert suspension_strings(frame) is None
         report = check_direct(frame)
         if caps == 3:
             assert [p.rank for p in report.per_degree] == [1, 6, 18, 23, 12, 4]
 
     def test_other_frames_take_the_walk(self, cx):
+        # the walk eliminates what the peel's bound leaves open: nothing on
+        # the star K1,4, whose leaves peel; the failing degree on C3 and on
+        # BALL10 * S^0 and the onto degree above it on BALL10 * S^0; and
+        # every degree the rules leave open on K33, where the peel is stuck
         ball = cx("BALL10")
         suspended = from_facets([f | {11} for f in ball.facets] + [f | {12} for f in ball.facets])
-        for complex_ in (STAR, cx("C3"), K33, suspended):
+        expected = [(STAR, set()), (cx("C3"), {1}), (K33, {0, 1}), (suspended, {3, 4})]
+        for complex_, open_ in expected:
             frame = ArtinianFrame(complex_, 2)
-            assert lefschetz._suspension_strings(frame) is None, complex_
+            assert suspension_strings(frame) is None, complex_
             report, built, eliminated = recorded(frame)
-            assert eliminated, complex_
+            assert eliminated == open_, complex_
             assert report == check_direct(frame)
+
+
+# --- the vertex peel: a lower bound on every rank -------------------------------
+
+
+def check_peel(frame, ranks):
+    """The peel (``_peeled_strings``) against exact ranks, a dict (j, i) ->
+    rank of ×L^j from degree i: its strings count every dimension, its
+    bound never exceeds a rank, and it is exact exactly on a simplex
+    joined with suspensions.  Returns the peel."""
+    peeled = lefschetz._peeled_strings(frame)
+    if peeled is not None:
+        strings, exact = peeled
+        dims = hilbert_series(frame)
+        assert tuple(lefschetz._covering(strings, k, 0) for k in range(len(dims))) == dims, frame
+        assert exact == (suspension_strings(frame) is not None), frame
+        for (j, i), r in ranks.items():
+            bound = lefschetz._covering(strings, i, j)
+            assert bound <= r, (frame, j, i)
+            assert bound == r or not exact, (frame, j, i)
+    return peeled
+
+
+def wlp_ranks(frame):
+    """``check_direct`` as a dict (1, k) -> rank of ×L from degree k."""
+    return {(1, p.k): p.rank for p in check_direct(frame).per_degree}
+
+
+def slp_ranks(frame, reference):
+    """slp_check against a reference report, as a dict (j, i) -> rank."""
+    report = reference(frame)
+    assert slp_check(frame) == report, frame
+    return {(j, i): r for j, i, _, _, r, _ in report.per_pair}
+
+
+def mixed_cap_graph_frames(seed, count, top=4):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        g = random_connected_graph(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
+        yield ArtinianFrame(g, {v: rng.randint(2, top) for v in g.vertices})
+
+
+def suspension(complex_):
+    top = max(complex_.vertices)
+    return from_facets([f | {top + 1} for f in complex_.facets]
+                       + [f | {top + 2} for f in complex_.facets])
+
+
+# 1 - 2 - 3 - 4: no join, both ends peel
+PATH4 = from_facets([{1, 2}, {2, 3}, {3, 4}])
+
+
+class TestPeel:
+    """The vertex peel's strings against exact ranks."""
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_fixtures_caps_2_to_5(self, cx, name):
+        # the ranks do not depend on the labels, but the peel order does
+        rng = random.Random(name)
+        for caps in (2, 3, 4, 5):
+            frame = ArtinianFrame(cx(name), caps)
+            ranks = wlp_ranks(frame)
+            check_peel(frame, ranks)
+            moved = relabelled(frame, rng)
+            check_peel(moved, ranks)
+            assert {(1, p.k): p.rank for p in wlp_check(moved).per_degree} == ranks
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_fixture_powers(self, cx, name):
+        rng = random.Random(name)
+        for frame in fixture_frames(cx, [name]):
+            ranks = slp_ranks(frame, slp_reference)
+            check_peel(frame, ranks)
+            check_peel(relabelled(frame, rng), ranks)
+        caps = 3 if name in SLOW_AT_CAPS_3 else 4
+        frame = ArtinianFrame(cx(name), caps)
+        check_peel(frame, slp_ranks(frame, slp_composed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(capped_frames())
+    @example(EDGE_AND_POINT)
+    @example(TWO_FAILURES)
+    @example(K4_AND_POINT)
+    def test_capped_frames(self, frame):
+        check_peel(frame, slp_ranks(frame, slp_composed))
+        check_peel(frame, wlp_ranks(frame))
+
+    def test_mixed_cap_random_graphs(self):
+        for frame in mixed_cap_graph_frames(1912, 40):
+            check_peel(frame, slp_ranks(frame, slp_composed))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_cross_polytopes(self, d):
+        for caps in (2, 3, 4) if d < 5 else (2, 3):
+            frame = ArtinianFrame(cross_polytope(d), caps)
+            assert check_peel(frame, wlp_ranks(frame))[1]
+            if d < 4 or caps == 2:
+                check_peel(frame, slp_ranks(frame, slp_reference))
+
+    def test_suspended_ball10(self, cx):
+        frame = ArtinianFrame(suspension(cx("BALL10")), 2)
+        assert not check_peel(frame, slp_ranks(frame, slp_composed))[1]
+        frame = ArtinianFrame(suspension(cx("BALL10")), 3)
+        check_peel(frame, wlp_ranks(frame))
+
+    def test_path4_strings(self):
+        # peel 1 (one facet, id 1): its link {2} gives (0, 2), and the star
+        # piece is that times (1, a_1 - 1) = (1, 1): one string (1, 2).
+        # The deletion 2 - 3 - 4 = {3} * {2, 4}: (0, 2) times (0, 2) and
+        # (1, 1) gives (0, 3), (1, 1) and (1, 2)
+        strings, exact = lefschetz._peeled_strings(ArtinianFrame(PATH4, 2))
+        assert strings == Counter({(0, 3): 1, (1, 1): 1, (1, 2): 2}) and not exact
+
+    def test_stuck(self, cx):
+        # no link of DUNCE, K4 or K33 is a simplex joined with suspensions
+        for complex_ in (cx("DUNCE"), K4, K33, suspension(K4)):
+            for caps in (2, 3):
+                assert lefschetz._peeled_strings(ArtinianFrame(complex_, caps)) is None
+
+    def test_joins_are_exact(self, cx):
+        for name in ("OCT", "CROSS4", "C4", "PATH3", "EDGE"):
+            assert lefschetz._peeled_strings(ArtinianFrame(cx(name), 3))[1], name
+        for name in ("FAN4", "BALL10", "C3"):
+            assert not lefschetz._peeled_strings(ArtinianFrame(cx(name), 3))[1], name

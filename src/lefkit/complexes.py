@@ -314,8 +314,13 @@ def homology(cx: SimplicialComplex) -> HomologyReport:
     """Reduced rational homology from exact boundary matrices.
 
     The top map is eliminated once: its kernel gives both its rank and,
-    when the top homology has rank one, the top cycle."""
+    when the top homology has rank one, the top cycle.  A complex whose
+    facets share a vertex is a cone, which is contractible, so its reduced
+    homology vanishes and nothing is eliminated; the void complex {∅} has
+    no vertex to share."""
     d = cx.dim
+    if frozenset.intersection(*cx.facets):
+        return HomologyReport((0,) * (d + 2))
     counts = {k: len(faces(cx, k)) for k in range(-1, d + 1)}
     top = linalg.kernel_basis(boundary_matrix(cx, d))
     bnd_rank = {k: linalg.rank(boundary_matrix(cx, k)) for k in range(d)}

@@ -221,9 +221,79 @@ def _hilbert(cx, extra: tuple, k: int) -> int:
 
 def quotient_hilbert(cx: SimplicialComplex, extra, k: int) -> int:
     """Dimension of the degree-k piece of the Stanley-Reisner quotient by
-    additional homogeneous forms."""
+    additional homogeneous forms.
+
+    A sop of a Cohen-Macaulay complex reads every degree from
+    ``_sop_values``.  Input of that shape that is no sop, with a form of
+    degree 2 or more, pays the one rank ``_sop_values`` takes at the
+    vanishing bound before the degree-k rank."""
     _validate_extra(cx, extra)
-    return _hilbert(cx, tuple(extra), k) if k >= 0 else 0
+    return _value(cx, tuple(extra), k) if k >= 0 else 0
+
+
+@lru_cache(maxsize=256)
+def _sop_values(cx, extra: tuple) -> Optional[tuple]:
+    """The quotient Hilbert function by extra in degrees 0 to its first
+    vanishing degree, when extra is a sop of a Cohen-Macaulay complex;
+    None when the scan has to decide.
+
+    Shape.  Only a Cohen-Macaulay Δ of dimension d with exactly d + 1
+    forms, each nonzero and of positive degree e_i, is decided here.  The
+    ring K[Δ] has Krull dimension d + 1, so these forms are a sop exactly
+    when the quotient A = K[Δ]/(θ) is artinian.
+
+    Artinian.  When every form is linear, A is artinian exactly when each
+    facet restriction, the (d + 1)×|F| matrix of the forms' coefficients
+    on the vertices of F, has rank |F| (Kind-Kleinschmidt, Math. Z. 167
+    (1979); Stanley, Combinatorics and Commutative Algebra, III.2.4).
+    Otherwise one rank decides: A_N = 0, N = 1 + deg h + Σ(e_i - 1), the
+    bound of ``_vanishing_bound``.  A is standard graded (A_{k+1} =
+    A_1 A_k), so A_N = 0 gives A_k = 0 for every k >= N and A is
+    artinian; conversely a sop gives A_N = 0 by the series below.  A
+    candidate that fails returns None, and the scan gives its values.
+
+    Values.  On a Cohen-Macaulay ring a sop is a regular sequence, and
+    dividing by a regular form of degree e multiplies the Hilbert series
+    by 1 + t + ... + t^{e-1}.  So A has the series h(t) ∏(1 + ... +
+    t^{e_i - 1}), h(t) = h_0 + ... + h_s t^s with s = deg h (Stanley, I.5
+    and II.4), a polynomial of degree s + Σ(e_i - 1) = N - 1.  Its top
+    coefficient is h_s > 0, and a standard graded algebra that vanishes
+    in one degree vanishes in every later one, so no degree below N
+    vanishes: N is the first vanishing degree, as the scan finds.  The
+    values are the series' coefficients, then 0.
+    """
+    d = cx.dim
+    if (len(extra) != d + 1 or any(g.is_zero() or g.degree() < 1 for g in extra)
+            or not is_cohen_macaulay(cx)):
+        return None
+    linear = all(g.degree() == 1 for g in extra)
+    if linear:
+        coeffs = [{m.exps[0][0]: c for m, c in g.terms.items()} for g in extra]
+        for f in cx.facets:
+            entries = {(i, j): linalg._exact(row[v])
+                       for i, row in enumerate(coeffs)
+                       for j, v in enumerate(sorted(f)) if v in row}
+            if linalg.rank(linalg.ExactMatrix._trusted(d + 1, len(f), entries)) != len(f):
+                return None
+    profile = fh_profile(cx)
+    values = list(profile.h[: profile.h_degree + 1])
+    for g in extra:
+        # times 1 + t + ... + t^{e-1}: each coefficient sums e neighbours
+        e = g.degree()
+        padded = [0] * (e - 1) + values + [0] * (e - 1)
+        values = [sum(padded[k:k + e]) for k in range(len(values) + e - 1)]
+    if not linear and _hilbert(cx, extra, len(values)) != 0:
+        return None
+    return tuple(values) + (0,)
+
+
+def _value(cx, extra: tuple, k: int) -> int:
+    """The degree-k quotient dimension, k >= 0: from ``_sop_values`` where
+    it decides, else one ``_hilbert`` rank."""
+    values = _sop_values(cx, extra)
+    if values is None:
+        return _hilbert(cx, extra, k)
+    return values[k] if k < len(values) else 0
 
 
 def _vanishing_bound(cx, extra):
@@ -252,9 +322,14 @@ def _vanishing_bound(cx, extra):
 
 
 def _first_vanishing(cx, extra: tuple):
-    """First degree where the quotient Hilbert function vanishes, scanning
-    up to the vanishing bound; None if it stays positive that far."""
+    """First degree where the quotient Hilbert function vanishes, with the
+    values up to it: read from ``_sop_values`` for a sop of a
+    Cohen-Macaulay complex, and otherwise scanned up to the vanishing
+    bound; None if it stays positive that far."""
     _validate_extra(cx, extra)
+    values = _sop_values(cx, extra)
+    if values is not None:
+        return len(values) - 1, values
     values = []
     for k in range(_vanishing_bound(cx, extra) + 1):
         values.append(_hilbert(cx, extra, k))
@@ -268,7 +343,9 @@ def is_sop(cx: SimplicialComplex, cand: SopCandidate) -> SopCheck:
 
     The quotient of a standard graded algebra is zero from the first
     degree where it vanishes, and for a sop that happens no later than
-    the vanishing bound; scanning up to that bound decides.
+    the vanishing bound; scanning up to that bound decides.  A sop of a
+    Cohen-Macaulay complex is decided without the scan
+    (``_sop_values``).
     """
     d = cx.dim
     if len(cand.theta) != d + 1:
@@ -320,7 +397,7 @@ def _membership(cx, extra: tuple, g):
     k = g.degree()
     # the value with g is not memoised: each g is asked about once, and its
     # cache key would keep g alive for the rest of the process
-    return _hilbert.__wrapped__(cx, extra + (g,), k) == _hilbert(cx, extra, k)
+    return _hilbert.__wrapped__(cx, extra + (g,), k) == _value(cx, extra, k)
 
 
 def ideal_membership(cx: SimplicialComplex, extra, g: Polynomial) -> bool:

@@ -198,7 +198,13 @@ def _integer_rows(matrix: ExactMatrix):
 
 
 def _normalize_row(row: dict) -> dict:
-    g = math.gcd(*row.values()) if row else 1
+    """The row divided by the gcd of its entries; the row itself when that
+    gcd is 1, which the walk stops at as soon as it sees it."""
+    g = 0
+    for v in row.values():
+        g = math.gcd(g, v)
+        if g == 1:
+            return row
     if g > 1:
         return {j: v // g for j, v in row.items()}
     return row
@@ -211,7 +217,8 @@ def _eliminate(rows, modulus=None):
     ``(row_index, column)`` pairs.  Pivot choice prefers the sparsest
     column, then the sparsest row in it, breaking ties by lowest column
     and lowest row index.  Retired pivot rows keep their final content,
-    so the pivot rows form a triangular system in pivot order.
+    so the pivot rows form a triangular system in pivot order.  Rows are
+    combined in place, so no two entries of ``rows`` may share a dict.
 
     With a prime ``modulus`` the rows hold residues mod p and every
     combined row is reduced mod p, which gives the rank over GF(p).  Each
@@ -252,38 +259,38 @@ def _eliminate(rows, modulus=None):
             if r == piv:
                 continue
             row = rows[r]
-            v = row[col]
+            v = row.pop(col)
             g = math.gcd(p, v)
             mp, mv = p // g, v // g
-            new = row.copy() if mp == 1 else {j: x * mp for j, x in row.items()}
-            del new[col]
+            if mp != 1:
+                for j, x in row.items():
+                    row[j] = x * mp
             for j, x in rest:
-                y = new.get(j)
+                y = row.get(j)
                 if y is None:
-                    new[j] = -mv * x
+                    row[j] = -mv * x
                     col_rows[j].add(r)
                 else:
                     y -= mv * x
                     if y:
-                        new[j] = y
+                        row[j] = y
                     else:
-                        del new[j]
+                        del row[j]
                         col_rows[j].discard(r)
             if modulus is None:
-                rows[r] = _normalize_row(new)
+                rows[r] = _normalize_row(row)
                 continue
             # only the pivot row's columns changed; the rest are residues
             for j, _ in rest:
-                y = new.get(j)
+                y = row.get(j)
                 if y is None:
                     continue
                 y %= modulus
                 if y:
-                    new[j] = y
+                    row[j] = y
                 else:
-                    del new[j]
+                    del row[j]
                     col_rows[j].discard(r)
-            rows[r] = new
         # retire the pivot row; its other columns get fresh heap entries
         for j, _ in rest:
             holders = col_rows[j]

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from lefkit.complexes import (
     CollapseCertificate,
+    HomologyReport,
     _ridge_pairs,
     _ridges,
     SimplicialComplex,
@@ -677,22 +678,54 @@ CLOSED = {
 }
 
 
+def every_boundary_rank(complex_):
+    """Reduced Betti numbers the replaced way: rank every boundary map, the
+    top one included."""
+    d = complex_.dim
+    rank = [0] + [linalg.rank(boundary_matrix(complex_, k)) for k in range(d + 1)] + [0]
+    counts = [len(faces(complex_, k)) for k in range(-1, d + 1)]
+    return tuple(counts[i] - rank[i] - rank[i + 1] for i in range(d + 2))
+
+
 class TestAgainstReplacedCode:
     @settings(max_examples=200, deadline=None)
     @given(ridge_complexes())
     @example(from_facets([{1}]))
     @example(from_facets([{1, 2}, {2, 3}, {1, 3}]))
     def test_ranks_match_every_boundary_rank(self, complex_):
-        # the replaced path: rank every boundary map, the top one included
         d = complex_.dim
-        rank = [0] + [linalg.rank(boundary_matrix(complex_, k)) for k in range(d + 1)] + [0]
-        counts = [len(faces(complex_, k)) for k in range(-1, d + 1)]
-        expected = tuple(counts[i] - rank[i] - rank[i + 1] for i in range(d + 2))
+        expected = every_boundary_rank(complex_)
         rep = homology(complex_)
         assert rep.ranks == expected
         assert (rep.top_cycle is not None) == (expected[-1] == 1)
         if rep.top_cycle is not None:
             assert rep.top_cycle == linalg.kernel_basis(boundary_matrix(complex_, d)).vectors[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ridge_complexes(), st.integers(1, 9))
+    @example(from_facets([{1}]), 2)
+    @example(from_facets([{1, 2}, {2, 3}, {1, 3}]), 9)
+    def test_cones_match_every_boundary_rank(self, base, apex):
+        # the apex joins every facet, or replaces a vertex it already was
+        complex_ = from_facets([f | {apex} for f in base.facets])
+        expected = every_boundary_rank(complex_)
+        assert expected == (0,) * (complex_.dim + 2)
+        assert homology.__wrapped__(complex_) == HomologyReport(expected, None)
+
+    def test_cones_eliminate_nothing(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("a cone needs no elimination")
+
+        monkeypatch.setattr(linalg, "rank", refuse)
+        monkeypatch.setattr(linalg, "kernel_basis", refuse)
+        for facets in ([{1}], [{1, 2}, {1, 3}], [{1, 2, 3}, {1, 3, 4}, {1, 5}]):
+            complex_ = from_facets(facets)
+            assert homology.__wrapped__(complex_).ranks == (0,) * (complex_.dim + 2)
+
+    def test_void_complex_is_no_cone(self):
+        void = SimplicialComplex([frozenset()])
+        assert void.dim == -1
+        assert homology.__wrapped__(void) == HomologyReport((1,), (1,))
 
     @settings(max_examples=300, deadline=None)
     @given(ridge_complexes())

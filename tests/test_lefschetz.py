@@ -7,17 +7,25 @@ from itertools import combinations_with_replacement
 from itertools import product
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from lefkit import lefschetz, linalg
-from lefkit.complexes import Coloring, balanced_coloring, from_facets
+from lefkit.complexes import (
+    Coloring,
+    SimplicialComplex,
+    balanced_coloring,
+    fh_profile,
+    from_facets,
+    is_cohen_macaulay,
+)
 from lefkit.errors import (
     ArityError,
     ColoringError,
     HomogeneityError,
     HypothesisError,
     InputError,
+    LefkitError,
     NotArtinian,
     RangeError,
 )
@@ -2052,3 +2060,176 @@ class TestPeel:
             assert lefschetz._peeled_strings(ArtinianFrame(cx(name), 3))[1], name
         for name in ("FAN4", "BALL10", "C3"):
             assert not lefschetz._peeled_strings(ArtinianFrame(cx(name), 3))[1], name
+
+
+# --- sops of Cohen-Macaulay complexes, decided without the scan ------------
+
+
+def scan_route(monkeypatch):
+    """Send every quotient through the Hilbert-function scan, the route
+    ``_sop_values`` replaces on sops of Cohen-Macaulay complexes."""
+    monkeypatch.setattr(lefschetz, "_sop_values", lambda complex_, extra: None)
+
+
+def outcome(run):
+    try:
+        return run()
+    except LefkitError as exc:
+        return type(exc).__name__
+
+
+def sop_outputs(complex_, theta, members):
+    """What the sop route feeds: the SopCheck, quotient_hilbert from degree
+    -1 to one past the vanishing bound, the inverse-system pieces of degree 1
+    and 2, ideal_membership of each member and, on a complex with vertices,
+    the UnexpectedReport of the sum of the variables at caps 2."""
+    theta = tuple(theta)
+    top = lefschetz._vanishing_bound(complex_, theta) + 1
+    out = [
+        outcome(lambda: is_sop(complex_, SopCandidate.make(theta))),
+        [quotient_hilbert(complex_, theta, k) for k in range(-1, top + 1)],
+        [outcome(lambda k=k: inverse_system_piece(complex_, theta, k)) for k in (1, 2)],
+        [outcome(lambda g=g: ideal_membership(complex_, theta, g)) for g in members],
+    ]
+    if complex_.vertices:
+        h = fh_profile(complex_).h_degree
+        t = max(sum(g.degree() for g in theta) + h - complex_.dim - 1, h)
+        L = sum_of_variables(complex_.vertices)
+        out.append(outcome(
+            lambda: verify_unexpected(complex_, SopCandidate.make(theta), L, 2, t)))
+    return out
+
+
+def check_against_scan(monkeypatch, complex_, theta, members=()):
+    """The outputs equal the scan's; returns what ``_sop_values`` made of
+    the forms."""
+    got = sop_outputs(complex_, theta, members)
+    values = lefschetz._sop_values(complex_, tuple(theta))
+    with monkeypatch.context() as m:
+        scan_route(m)
+        assert sop_outputs(complex_, theta, members) == got, (complex_, theta)
+    return values
+
+
+def members_of(complex_, theta):
+    vs = complex_.vertices
+    return [theta[0], Polynomial.variable(vs[0]), Polynomial.variable(vs[-1], 2),
+            sum_of_variables(vs)]
+
+
+@st.composite
+def sop_shaped(draw):
+    """A relabelled fixture and d + 1 forms, or one fewer or one more: each
+    a combination of every vertex's pure power with coefficients in
+    -2..2, so singular facet restrictions are common, plus a face monomial
+    of mixed support when quadratic; the last form is sometimes the first
+    again.  Quadratic forms only on fixtures of at most six vertices."""
+    base = fixtures.load(draw(st.sampled_from(fixtures.FIXTURE_NAMES)))
+    ids = draw(st.permutations(range(1, 4 * len(base.vertices) + 1)))
+    relabel = dict(zip(base.vertices, ids))
+    complex_ = from_facets([{relabel[v] for v in f} for f in base.facets])
+    n = complex_.dim + 1 + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    top = 2 if len(complex_.vertices) <= 6 else 1
+    forms = []
+    for e in draw(st.lists(st.integers(1, top), min_size=n, max_size=n)):
+        terms = {Monomial({v: e}): draw(st.integers(-2, 2)) for v in complex_.vertices}
+        facet = sorted(draw(st.sampled_from(complex_.facets)))
+        if e == 2 and len(facet) > 1:
+            terms[Monomial({facet[0]: 1, facet[1]: 1})] = draw(st.integers(-2, 2))
+        form = Polynomial(terms)
+        forms.append(form if not form.is_zero() else Polynomial.variable(facet[0], e))
+    if n > 1 and draw(st.booleans()):
+        forms[-1] = forms[0]
+    return complex_, forms
+
+
+class TestSopRoute:
+    """``_sop_values`` against the Hilbert-function scan it replaces, on
+    sops of Cohen-Macaulay complexes and the input around them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sop_shaped())
+    def test_fixture_candidates_match_the_scan(self, case):
+        complex_, theta = case
+        assert is_cohen_macaulay(complex_)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            values = check_against_scan(monkeypatch, complex_, theta,
+                                        members_of(complex_, theta))
+        event(f"{len(complex_.vertices)} vertices, {'route' if values else 'scan'}, "
+              f"degrees {sorted({g.degree() for g in theta})}")
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_accepted_candidates_take_the_route(self, cx, name, monkeypatch):
+        # seeded sops with coefficients 1..3: linear ones, and one quadratic
+        # form on the fixtures of at most six vertices
+        complex_ = cx(name)
+        rng = random.Random(f"sop-route/{name}")
+        profile = fh_profile(complex_)
+        h = list(profile.h[: profile.h_degree + 1])
+        for e in [1] if len(complex_.vertices) > 6 else [1, 2]:
+            for _ in range(50):
+                theta = [
+                    Polynomial({Monomial({v: 1 if i < complex_.dim else e}): rng.randint(1, 3)
+                                for v in complex_.vertices})
+                    for i in range(complex_.dim + 1)
+                ]
+                if is_sop(complex_, SopCandidate.make(theta)):
+                    break
+            else:
+                pytest.fail(f"no sop of degrees {e} drawn on {name}")
+            values = check_against_scan(monkeypatch, complex_, theta,
+                                        members_of(complex_, theta))
+            assert values == tuple(convolve(h, [1] * e)) + (0,)
+            if e == 1:
+                assert facet_rank_criterion(complex_, theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(fixtures.FIXTURE_NAMES),
+           st.lists(st.integers(-1, 2), min_size=50, max_size=50))
+    def test_kind_kleinschmidt_matches_the_dense_criterion(self, name, coeffs):
+        # form i has coefficient coeffs[i * |V| + j] at the j-th vertex
+        complex_ = fixtures.load(name)
+        vs = complex_.vertices
+        theta = [Polynomial({Monomial({v: 1}): coeffs[i * len(vs) + j] for j, v in enumerate(vs)})
+                 for i in range(complex_.dim + 1)]
+        assume(not any(th.is_zero() for th in theta))
+        taken = lefschetz._sop_values(complex_, tuple(theta)) is not None
+        assert taken == facet_rank_criterion(complex_, theta)
+        assert taken == is_sop(complex_, SopCandidate.make(theta)).is_sop
+
+    def test_singular_duplicated_and_miscounted_forms(self, cx, monkeypatch):
+        oct_ = cx("OCT")
+        line = [P("x1 + x2"), P("x3 + x4"), P("x5 + x6")]
+        quad = [P("x1 + x2"), P("x3 + x4"), P("x5^2 + x6^2")]
+        cases = [
+            line,
+            quad,
+            [P("x1 + x2"), P("x1 + x2"), P("x5 + x6")],  # a form given twice
+            [P("x1 + x2"), P("x3 + x4"), P("x1 + x2 + x3 + x4")],  # singular, rank 2
+            [P("x1 + x2"), P("x3 + x4"), P("x1^2 + x3^2")],  # quadratic, no sop
+            line[:2],  # one form short
+            line + [P("x1 - x3")],  # one form long
+            line + [Polynomial()],  # a zero form
+        ]
+        taken = [check_against_scan(monkeypatch, oct_, theta, members_of(oct_, theta))
+                 is not None for theta in cases]
+        assert taken == [True, True, False, False, False, False, False, False]
+
+    def test_a_constant_form_takes_the_scan(self, cx, monkeypatch):
+        oct_ = cx("OCT")
+        theta = [P("x1 + x2"), P("x3 + x4"), Polynomial.constant(1)]
+        assert check_against_scan(monkeypatch, oct_, theta) is None
+        assert quotient_hilbert(oct_, theta, 0) == 0
+
+    def test_non_cohen_macaulay_takes_the_scan(self, monkeypatch):
+        complex_ = from_facets([{1, 2}, {2, 3}, {1, 3}, {4, 5}])
+        theta = [P("x1 + 2 x2 + 3 x3 + x4"), P("x1 + x2 + x3 + x5")]
+        assert check_against_scan(monkeypatch, complex_, theta,
+                                  members_of(complex_, theta)) is None
+        assert is_sop(complex_, SopCandidate.make(theta)).hilbert_values == (1, 3, 1, 0)
+
+    def test_void_complex_without_forms(self, monkeypatch):
+        void = SimplicialComplex([frozenset()])
+        assert void.dim == -1 and is_cohen_macaulay(void)
+        assert check_against_scan(monkeypatch, void, [], [Polynomial.constant(2)]) == (1, 0)
+        assert is_sop(void, SopCandidate.make([])) == lefschetz.SopCheck(True, 1, (1, 0))

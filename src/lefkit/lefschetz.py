@@ -65,15 +65,18 @@ from .monomials import (
 
 @dataclass(frozen=True)
 class SopCandidate:
-    """A sequence of homogeneous forms proposed as a system of parameters."""
+    """A sequence of homogeneous forms of positive degree proposed as a
+    system of parameters: a sop lies in the maximal ideal, so a constant
+    is refused.  Constants stay valid extra forms of ``quotient_hilbert``."""
 
     theta: tuple
     total_degree_t: Optional[int] = None
 
     def __post_init__(self):
         for th in self.theta:
-            if th.is_zero() or not th.is_homogeneous():
-                raise HomogeneityError(f"sop entries must be homogeneous and nonzero: {th}")
+            if th.is_zero() or not th.is_homogeneous() or th.degree() == 0:
+                raise HomogeneityError(
+                    f"sop entries must be homogeneous of positive degree: {th}")
 
     @classmethod
     def make(cls, forms, total_degree_t=None) -> "SopCandidate":
@@ -640,19 +643,19 @@ def _suspension_strings(facets, caps: dict) -> Optional[Counter]:
 
 
 def _peeled_strings(frame: ArtinianFrame) -> Optional[tuple]:
-    """Strings (start degree, length) whose count over each (j, i), the
-    strings covering i and i + j, bounds rank(×L^j: A_i → A_{i+j}) from
-    below, and whether that bound is the rank; None when the peel below
-    gets stuck.
+    """The levels of the vertex peel below, each a Counter of strings
+    (start degree, length): the star pieces in peel order, then the leaf;
+    None when the peel gets stuck.  Their sum counts every dim A_k, and
+    ``_certified`` reads ranks from them.
 
     The peel.  While Δ is no simplex joined with suspensions, take the
     first vertex v, ordered by (number of facets holding it, id), whose
-    link is one, add the strings of its star piece and go on with the
-    deletion Δ - v.  Once Δ is such a join, add its strings
-    (``_suspension_strings``) and stop.  If no vertex qualifies, give up.
-    The bound is the rank only when no vertex was peeled.
+    link is one, keep the strings of its star piece and go on with the
+    deletion Δ - v.  Once Δ is such a join, keep its strings
+    (``_suspension_strings``) as the leaf and stop.  If no vertex
+    qualifies, give up.  A peel of one level, the leaf, peeled no vertex.
 
-    Why the bound holds.  Let A = K[Δ]/(x_u^{a_u}).  There is a short exact
+    The pieces.  Let A = K[Δ]/(x_u^{a_u}).  There is a short exact
     sequence of graded K[L]-modules 0 → x_v A → A → A/x_v A → 0.
     A/x_v A is the frame on the deletion Δ - v (the faces missing v) with
     the same caps.  x_v A ≅ (A/ann x_v)(-1), and x_v m = 0 exactly when
@@ -661,13 +664,9 @@ def _peeled_strings(frame: ArtinianFrame) -> Optional[tuple]:
     (x_v^{a_v - 1}) tensored with the frame on lk v; at a_v = 2 it is the
     frame on lk v, and K when lk v is empty.  Its strings are the link's
     tensored with (0, a_v - 1), and the shift by one degree makes that
-    factor (1, a_v - 1) (``_tensor``).  In a basis of A through a basis
-    of x_v A, ×L^j is block triangular, so its rank is at least the sum of
-    the ranks of the two diagonal blocks: ×L^j on the star piece, read
-    from its strings, and on the deletion, bounded in turn by its own
-    peel.  A bound that reaches min(dim A_i, dim A_{i+j}) is the rank.
-    The pieces split A as a graded vector space, so the strings covering
-    k count dim A_k exactly, peeled or not.
+    factor (1, a_v - 1) (``_tensor``).  The pieces split A as a graded
+    vector space, so the strings covering k count dim A_k exactly,
+    peeled or not.
 
     The deletion's facets are the facets missing v and those f - v not
     inside one of them; the peel works on these facet sets and a cap dict
@@ -676,8 +675,7 @@ def _peeled_strings(frame: ArtinianFrame) -> Optional[tuple]:
     """
     facets = frame.complex.facets
     caps = frame.cap_map
-    strings = Counter()
-    exact = True
+    levels = []
     while (leaf := _suspension_strings(facets, caps)) is None:
         holding = Counter(v for f in facets for v in f)
         for v in sorted(holding, key=lambda v: (holding[v], v)):
@@ -687,11 +685,10 @@ def _peeled_strings(frame: ArtinianFrame) -> Optional[tuple]:
                 break
         else:
             return None
-        strings += _tensor(piece, ((1, caps[v] - 1),))
+        levels.append(_tensor(piece, ((1, caps[v] - 1),)))
         rest = [f for f in facets if v not in f]
         facets = rest + [g for g in link if not any(g <= f for f in rest)]
-        exact = False
-    return strings + leaf, exact
+    return (*levels, leaf)
 
 
 def _covering(strings: Counter, i: int, j: int) -> int:
@@ -702,23 +699,48 @@ def _covering(strings: Counter, i: int, j: int) -> int:
 
 def _certified(peeled, dims, i: int, j: int) -> Optional[int]:
     """rank(×L^j: A_i → A_{i+j}) where the peel (``_peeled_strings``)
-    decides it: always when its bound is exact, and otherwise where the
-    bound reaches min(dim A_i, dim A_{i+j}); None where it leaves the rank
-    open."""
+    decides it; None where it leaves the rank open.
+
+    Each level splits a frame B (A at the top) as 0 → S → B → Q → 0, S =
+    x_v B the star piece and Q = B/x_v B the frame on the deletion, the
+    next level down; the leaf's ranks, read from its Jordan type, are
+    exact.  ×L^j maps this
+    sequence in degree i to the one in degree i + j, so the snake lemma
+    gives the exact sequence
+
+        0 → ker_S → ker_B → ker_Q --δ--> coker_S → coker_B → coker_Q → 0
+
+    of ×L^j restricted to S_i, B_i and Q_i, and with dim B_i = dim S_i +
+    dim Q_i, rank_B = rank_S + rank_Q + rank δ.  δ maps ker(×L^j on Q_i)
+    to coker(×L^j: S_i → S_{i+j}), so δ = 0 where S is onto S_{i+j}
+    (rank_S = dim S_{i+j}) or Q is injective on Q_i (rank_Q = dim Q_i),
+    and there rank_B = rank_S + rank_Q.  rank_S and dim S_k come from the
+    star piece's strings.  So, from the leaf up, the sum of the levels'
+    ranks is exact while every level meets one of the two conditions.
+    Where one does not, the sum is still a lower bound, since rank δ >= 0
+    (the block-triangular bound), and it is the rank where it reaches
+    min(dim A_i, dim A_{i+j}).
+    """
     if peeled is None:
         return None
-    strings, exact = peeled
-    bound = _covering(strings, i, j)
-    return bound if exact or bound == min(dims[i], dims[i + j]) else None
+    *pieces, leaf = peeled
+    rank, source = _covering(leaf, i, j), _covering(leaf, i, 0)  # of Q, the level below
+    exact = True
+    for star in reversed(pieces):
+        r = _covering(star, i, j)
+        exact = exact and (r == _covering(star, i + j, 0) or rank == source)
+        rank, source = rank + r, source + _covering(star, i, 0)
+    return rank if exact or rank == min(dims[i], dims[i + j]) else None
 
 
 def _dimensions(frame: ArtinianFrame, peeled, socle: int) -> tuple:
-    """dim A_k for k from 0 to the socle degree: the strings covering k
-    when the peel completed, counted from the faces (``hilbert_series``)
-    when it got stuck."""
+    """dim A_k for k from 0 to the socle degree: the strings of every
+    level covering k when the peel completed, counted from the faces
+    (``hilbert_series``) when it got stuck."""
     if peeled is None:
         return hilbert_series(frame)
-    return tuple(_covering(peeled[0], k, 0) for k in range(socle + 1))
+    strings = sum(peeled, Counter())
+    return tuple(_covering(strings, k, 0) for k in range(socle + 1))
 
 
 def wlp_check(frame: ArtinianFrame) -> WlpReport:
@@ -727,14 +749,16 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     single linear form decides the weak Lefschetz property.
 
     A rank is read without elimination where the vertex peel
-    (``_peeled_strings``) decides it: every rank when Δ is a simplex
-    joined with suspensions, full rank wherever the peel's lower bound
-    reaches it.  The dimensions come from the same strings, or are
-    counted from the faces (``hilbert_series``) when the peel gets stuck.
-    Any other rank is that of ×L in the symmetry-adapted bases of the
-    frame's twin swaps (``IsotypicMaps``, built at the first elimination).
-    Two rules set ranks the theory decides, and the bound is read only
-    where they leave a rank open.
+    (``_peeled_strings``) decides it (``_certified``): every rank when Δ
+    is a simplex joined with suspensions, and otherwise wherever the
+    snake lemma rules out each level's connecting map or the peel's lower
+    bound reaches full rank; on BALL10 at caps 2 to 6 that is every
+    degree.  The dimensions come from the same strings, or are counted
+    from the faces (``hilbert_series``) when the peel gets stuck.  Any
+    other rank is that of ×L in the symmetry-adapted bases of the frame's
+    twin swaps (``IsotypicMaps``, built at the first elimination).  Two
+    rules set ranks the theory decides, and the peel is read only where
+    they leave a rank open.
 
     Down: if ×L is injective on A_{k+1} and A_k holds no socle
     (``ArtinianFrame.socle_degrees``), it is injective on A_k.  For f in
@@ -792,8 +816,9 @@ def slp_check(frame: ArtinianFrame) -> SlpReport:
     ×L^j from degree i to i + j for every pair, in order of j, then i.
 
     As in ``wlp_check``, a pair the vertex peel decides takes its rank
-    from the strings (``_peeled_strings``), every pair when Δ is a
-    simplex joined with suspensions.  And once L^j A_i = A_{i+j} the maps
+    from the levels' strings (``_certified``), every pair when Δ is a
+    simplex joined with suspensions, every pair of BALL10 at caps 2 to 4
+    as well.  And once L^j A_i = A_{i+j} the maps
     from later degrees are onto too (A_{i+1+j} = A_1 L^j A_i =
     L^j A_{i+1}).  The other pairs are eliminated: each ×L map M_k is
     built at most once, in the symmetry-adapted bases

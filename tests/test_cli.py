@@ -269,6 +269,18 @@ class TestSopCommands:
             "U1": True, "U2": True, "U3": True, "U4": True, "U5": True
         }
 
+    def test_sop_verify_refuses_a_constant_form(self, capsys):
+        code, out, err = run(
+            capsys, "sop-verify", "--complex", fixture_path("oct"),
+            "--sop", "x1+x2; x3+x4; 1", "--f", "x1+x2+x3+x4+x5+x6",
+            "--caps", "2", "--t", "3",
+        )
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "HomogeneityError",
+            "message": "sop entries must be homogeneous of positive degree: 1",
+        }
+
     def test_sop_verify_parse_error(self, capsys):
         code, _, err = run(
             capsys, "sop-verify", "--complex", fixture_path("oct"),

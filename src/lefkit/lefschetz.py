@@ -697,7 +697,7 @@ def _covering(strings: Counter, i: int, j: int) -> int:
     return sum(c for (s, m), c in strings.items() if s <= i and i + j < s + m)
 
 
-def _certified(peeled, dims, i: int, j: int) -> Optional[int]:
+def _certified(peeled, i: int, j: int) -> Optional[int]:
     """rank(×L^j: A_i → A_{i+j}) where the peel (``_peeled_strings``)
     decides it; None where it leaves the rank open.
 
@@ -717,9 +717,11 @@ def _certified(peeled, dims, i: int, j: int) -> Optional[int]:
     and there rank_B = rank_S + rank_Q.  rank_S and dim S_k come from the
     star piece's strings.  So, from the leaf up, the sum of the levels'
     ranks is exact while every level meets one of the two conditions.
-    Where one does not, the sum is still a lower bound, since rank δ >= 0
-    (the block-triangular bound), and it is the rank where it reaches
-    min(dim A_i, dim A_{i+j}).
+    Where one does not, the sum is only a lower bound (rank δ >= 0).  A
+    sum that reaches min(dim A_i, dim A_{i+j}) meets them everywhere: each
+    level's rank is at most its dim in degree i and in degree i + j, and
+    the dims add up, so a sum of dim A_i makes every Q injective and one
+    of dim A_{i+j} makes every S onto.
     """
     if peeled is None:
         return None
@@ -730,7 +732,7 @@ def _certified(peeled, dims, i: int, j: int) -> Optional[int]:
         r = _covering(star, i, j)
         exact = exact and (r == _covering(star, i + j, 0) or rank == source)
         rank, source = rank + r, source + _covering(star, i, 0)
-    return rank if exact or rank == min(dims[i], dims[i + j]) else None
+    return rank if exact else None
 
 
 def _dimensions(frame: ArtinianFrame, peeled, socle: int) -> tuple:
@@ -751,9 +753,8 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     A rank is read without elimination where the vertex peel
     (``_peeled_strings``) decides it (``_certified``): every rank when Δ
     is a simplex joined with suspensions, and otherwise wherever the
-    snake lemma rules out each level's connecting map or the peel's lower
-    bound reaches full rank; on BALL10 at caps 2 to 6 that is every
-    degree.  The dimensions come from the same strings, or are counted
+    snake lemma rules out each level's connecting map; on BALL10 at caps
+    2 to 6 that is every degree.  The dimensions come from the same strings, or are counted
     from the faces (``hilbert_series``) when the peel gets stuck.  Any
     other rank is that of ×L in the symmetry-adapted bases of the frame's
     twin swaps (``IsotypicMaps``, built at the first elimination).  Two
@@ -782,7 +783,7 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
 
     def rank(k):
         nonlocal maps
-        r = _certified(peeled, dims, k, 1)
+        r = _certified(peeled, k, 1)
         if r is None:
             maps = maps or IsotypicMaps(frame)
             r = linalg.rank(maps.matrix(k))
@@ -835,7 +836,7 @@ def slp_check(frame: ArtinianFrame) -> SlpReport:
     for i in range(socle):
         powers = range(1, socle - i + 1)
         for j in powers:
-            ranks[j, i] = dims[i + j] if j in onto else _certified(peeled, dims, i, j)
+            ranks[j, i] = dims[i + j] if j in onto else _certified(peeled, i, j)
         top = max((j for j in powers if ranks[j, i] is None), default=0)
         power = None
         for j in range(1, top + 1):

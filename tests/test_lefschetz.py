@@ -1943,8 +1943,9 @@ def check_peel(frame, ranks):
     """The peel (``_peeled_strings``) against exact ranks, a dict (j, i) ->
     rank of ×L^j from degree i: its strings count every dimension, their
     sum never exceeds a rank, it is one level exactly on a simplex joined
-    with suspensions, and every rank ``_certified`` reads from it is the
-    rank.  Returns the peel."""
+    with suspensions, every rank ``_certified`` reads from it is the
+    rank, and it reads every sum that reaches full rank.  Returns the
+    peel."""
     peeled = lefschetz._peeled_strings(frame)
     if peeled is not None:
         strings = sum(peeled, Counter())
@@ -1956,7 +1957,10 @@ def check_peel(frame, ranks):
             bound = lefschetz._covering(strings, i, j)
             assert bound <= r, (frame, j, i)
             assert bound == r or not exact, (frame, j, i)
-            assert lefschetz._certified(peeled, dims, i, j) in (None, r), (frame, j, i)
+            assert lefschetz._certified(peeled, i, j) in (None, r), (frame, j, i)
+            # a full-rank sum meets the snake condition at every level
+            if bound == min(dims[i], dims[i + j]):
+                assert lefschetz._certified(peeled, i, j) == bound, (frame, j, i)
     return peeled
 
 
@@ -2082,7 +2086,7 @@ def decided(frame):
     dims = hilbert_series(frame)
     top = len(dims) - 1
     return {(j, i): r for i in range(top) for j in range(1, top - i + 1)
-            if (r := lefschetz._certified(peeled, dims, i, j)) is not None}
+            if (r := lefschetz._certified(peeled, i, j)) is not None}
 
 
 def recorded_slp(frame):
@@ -2110,7 +2114,7 @@ class TestSnakeRule:
         star, leaf = lefschetz._peeled_strings(frame)
         assert (star, leaf) == (Counter({(1, 2): 1, (2, 1): 1}), Counter({(0, 3): 1, (1, 1): 1}))
         assert lefschetz._covering(star, 1, 1) + lefschetz._covering(leaf, 1, 1) == 2
-        assert lefschetz._certified((star, leaf), hilbert_series(frame), 1, 1) is None
+        assert lefschetz._certified((star, leaf), 1, 1) is None
         assert wlp_check(frame).per_degree[1].rank == 3
         # the pairs (j, i) left open at caps 2 to 4: where the sum is below
         # the rank, and a few where it is the rank without a proof

@@ -54,7 +54,6 @@ from .monomials import (
     differentiate,
     face_monomials,  # unused here; benchmarks/selftest.py checks the tracer wraps this binding
     hilbert_function,
-    hilbert_series,
     multiplication_matrix,
     standard_basis,
     standard_monomials,
@@ -614,11 +613,6 @@ def _suspension_strings(facets, caps: dict) -> Optional[Counter]:
     times (u, n) is the strings (s + u + i, m + n - 1 - 2i), the graded
     Clebsch-Gordan rule (Harima-Maeno-Morita-Numata-Wachi-Watanabe, The
     Lefschetz Properties, LNM 2080; ``_tensor``).
-
-    Ranks.  ×L^j from degree i keeps the degree-i element of a string
-    nonzero exactly when the string covers i + j too, and distinct strings
-    map independently, so the rank counts the strings covering i and
-    i + j (``_covering``).
     """
     vertices = set().union(*facets)
     cone = frozenset.intersection(*facets)
@@ -642,18 +636,17 @@ def _suspension_strings(facets, caps: dict) -> Optional[Counter]:
     return strings
 
 
-def _peeled_strings(frame: ArtinianFrame) -> Optional[tuple]:
+def _peeled_strings(frame: ArtinianFrame) -> tuple:
     """The levels of the vertex peel below, each a Counter of strings
-    (start degree, length): the star pieces in peel order, then the leaf;
-    None when the peel gets stuck.  Their sum counts every dim A_k, and
-    ``_certified`` reads ranks from them.
+    (start degree, length): the star pieces in peel order, then the leaf,
+    whose sum counts every dim A_k; ``_certified`` reads ranks from them.
 
     The peel.  While Δ is no simplex joined with suspensions, take the
     first vertex v, ordered by (number of facets holding it, id), whose
-    link is one, keep the strings of its star piece and go on with the
-    deletion Δ - v.  Once Δ is such a join, keep its strings
-    (``_suspension_strings``) as the leaf and stop.  If no vertex
-    qualifies, give up.  A peel of one level, the leaf, peeled no vertex.
+    link is one, or else the first vertex; keep the strings of its star
+    piece and go on with the deletion Δ - v.  Once Δ is such a join, keep
+    its strings (``_suspension_strings``) as the leaf and stop.  A peel of
+    one level, the leaf, peeled no vertex.
 
     The pieces.  Let A = K[Δ]/(x_u^{a_u}).  There is a short exact
     sequence of graded K[L]-modules 0 → x_v A → A → A/x_v A → 0.
@@ -663,37 +656,63 @@ def _peeled_strings(frame: ArtinianFrame) -> Optional[tuple]:
     frame on the star of v with cap a_v - 1 on v, that is K[x_v]/
     (x_v^{a_v - 1}) tensored with the frame on lk v; at a_v = 2 it is the
     frame on lk v, and K when lk v is empty.  Its strings are the link's
-    tensored with (0, a_v - 1), and the shift by one degree makes that
-    factor (1, a_v - 1) (``_tensor``).  The pieces split A as a graded
-    vector space, so the strings covering k count dim A_k exactly,
-    peeled or not.
+    (``_jordan_type``) tensored with (0, a_v - 1), and the shift by one
+    degree makes that factor (1, a_v - 1) (``_tensor``).  The pieces split
+    A as a graded vector space, so the strings covering k count dim A_k
+    exactly, peeled or not.
 
     The deletion's facets are the facets missing v and those f - v not
-    inside one of them; the peel works on these facet sets and a cap dict
-    and builds no complex or frame.  A peel ends, since each step drops a
-    vertex and the complex of the empty face is a simplex.
+    inside one of them.  A peel ends, since each step drops a vertex and
+    the complex of the empty face is a simplex.
     """
-    facets = frame.complex.facets
-    caps = frame.cap_map
-    levels = []
+    facets, caps = frame.complex.facets, frame.cap_map
+    levels, memo = [], {}  # memo: the links' Jordan types, for this peel
     while (leaf := _suspension_strings(facets, caps)) is None:
-        holding = Counter(v for f in facets for v in f)
-        for v in sorted(holding, key=lambda v: (holding[v], v)):
-            link = [f - {v} for f in facets if v in f]
-            piece = _suspension_strings(link, caps)
-            if piece is not None:
-                break
-        else:
-            return None
-        levels.append(_tensor(piece, ((1, caps[v] - 1),)))
+        links = {v: [f - {v} for f in facets if v in f] for v in set().union(*facets)}
+        order = sorted(links, key=lambda v: (len(links[v]), v))
+        v = next((v for v in order if _suspension_strings(links[v], caps) is not None), order[0])
+        levels.append(_tensor(_jordan_type(links[v], caps, memo), ((1, caps[v] - 1),)))
         rest = [f for f in facets if v not in f]
-        facets = rest + [g for g in link if not any(g <= f for f in rest)]
+        facets = rest + [g for g in links[v] if not any(g <= f for f in rest)]
     return (*levels, leaf)
+
+
+def _jordan_type(facets, caps: dict, memo: dict) -> Counter:
+    """The graded Jordan type of ×L, a Counter of strings (start degree,
+    length), on the frame B with these facets and caps, kept in memo by
+    facet set.  A simplex joined with suspensions takes the closed form
+    (``_suspension_strings``); any other B has its ranks r(j, i) of ×L^j:
+    B_i → B_{i+j} taken by ``slp_check``, which peels B in turn.
+
+    Strings from ranks.  r(j, i) counts the strings covering i and i + j
+    (``_covering``), r(0, i) = dim B_i, and r = 0 out of range.  So r(ℓ -
+    1, i) - r(ℓ, i) counts the strings from at most i that end at i + ℓ -
+    1, r(ℓ, i - 1) - r(ℓ + 1, i - 1) those from at most i - 1 that end
+    there, and their difference n(i, ℓ) counts the strings (i, ℓ).
+
+    The recursion ends: a peel hands over the link of a vertex v of its
+    frame, which misses v, and B's own peel deletes a vertex at each step,
+    so every nested call is on fewer vertices than the one above it.
+    """
+    key = frozenset(facets)
+    if key not in memo:
+        strings = _suspension_strings(facets, caps)
+        if strings is None:
+            r = Counter()  # (j, i) -> rank of ×L^j from degree i, dim B_i at j = 0
+            frame = ArtinianFrame(SimplicialComplex(facets), {v: caps[v] for f in facets for v in f})
+            for j, i, a, b, rank, _ in slp_check(frame).per_pair:
+                r[j, i], r[0, i], r[0, i + j] = rank, a, b
+            strings = Counter({(i, m + 1): c for m, i in r
+                               if (c := r[m, i] - r[m + 1, i] - r[m + 1, i - 1] + r[m + 2, i - 1])})
+        memo[key] = strings
+    return memo[key]
 
 
 def _covering(strings: Counter, i: int, j: int) -> int:
     """The strings covering i and i + j: the rank of ×L^j from degree i on
-    a Jordan type, dim A_i at j = 0."""
+    a Jordan type, dim A_i at j = 0.  ×L^j keeps the degree-i element of a
+    string nonzero exactly when the string covers i + j too, and distinct
+    strings map independently."""
     return sum(c for (s, m), c in strings.items() if s <= i and i + j < s + m)
 
 
@@ -704,9 +723,8 @@ def _certified(peeled, i: int, j: int) -> Optional[int]:
     Each level splits a frame B (A at the top) as 0 → S → B → Q → 0, S =
     x_v B the star piece and Q = B/x_v B the frame on the deletion, the
     next level down; the leaf's ranks, read from its Jordan type, are
-    exact.  ×L^j maps this
-    sequence in degree i to the one in degree i + j, so the snake lemma
-    gives the exact sequence
+    exact.  ×L^j maps this sequence in degree i to the one in degree i +
+    j, so the snake lemma gives the exact sequence
 
         0 → ker_S → ker_B → ker_Q --δ--> coker_S → coker_B → coker_Q → 0
 
@@ -721,10 +739,8 @@ def _certified(peeled, i: int, j: int) -> Optional[int]:
     sum that reaches min(dim A_i, dim A_{i+j}) meets them everywhere: each
     level's rank is at most its dim in degree i and in degree i + j, and
     the dims add up, so a sum of dim A_i makes every Q injective and one
-    of dim A_{i+j} makes every S onto.
+    of dim A_{i+j} makes every S onto.  At j = 0 it reads dim A_i.
     """
-    if peeled is None:
-        return None
     *pieces, leaf = peeled
     rank, source = _covering(leaf, i, j), _covering(leaf, i, 0)  # of Q, the level below
     exact = True
@@ -733,16 +749,6 @@ def _certified(peeled, i: int, j: int) -> Optional[int]:
         exact = exact and (r == _covering(star, i + j, 0) or rank == source)
         rank, source = rank + r, source + _covering(star, i, 0)
     return rank if exact else None
-
-
-def _dimensions(frame: ArtinianFrame, peeled, socle: int) -> tuple:
-    """dim A_k for k from 0 to the socle degree: the strings of every
-    level covering k when the peel completed, counted from the faces
-    (``hilbert_series``) when it got stuck."""
-    if peeled is None:
-        return hilbert_series(frame)
-    strings = sum(peeled, Counter())
-    return tuple(_covering(strings, k, 0) for k in range(socle + 1))
 
 
 def wlp_check(frame: ArtinianFrame) -> WlpReport:
@@ -754,12 +760,11 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     (``_peeled_strings``) decides it (``_certified``): every rank when Δ
     is a simplex joined with suspensions, and otherwise wherever the
     snake lemma rules out each level's connecting map; on BALL10 at caps
-    2 to 6 that is every degree.  The dimensions come from the same strings, or are counted
-    from the faces (``hilbert_series``) when the peel gets stuck.  Any
-    other rank is that of ×L in the symmetry-adapted bases of the frame's
-    twin swaps (``IsotypicMaps``, built at the first elimination).  Two
-    rules set ranks the theory decides, and the peel is read only where
-    they leave a rank open.
+    2 to 6 that is every degree.  The dimensions come from the same
+    strings.  Any other rank is that of ×L in the symmetry-adapted bases
+    of the frame's twin swaps (``IsotypicMaps``, built at the first
+    elimination).  Two rules set ranks the theory decides, and the peel
+    is read only where they leave a rank open.
 
     Down: if ×L is injective on A_{k+1} and A_k holds no socle
     (``ArtinianFrame.socle_degrees``), it is injective on A_k.  For f in
@@ -772,13 +777,12 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     Up: the algebra is generated in degree 1, so once L A_k = A_{k+1}
     every later map is onto as well (A_{k+2} = A_1 L A_k = L A_{k+1}).
     The degrees still open are taken ascending, and after the first onto
-    map their ranks are set to the target dimension.  ``IsotypicMaps``
-    keeps every layout it builds, so no layout is built twice.
+    map their ranks are set to the target dimension.
     """
     holds_socle = frame.socle_degrees()
     socle = max(holds_socle)
     peeled = _peeled_strings(frame)
-    dims = _dimensions(frame, peeled, socle)
+    dims = [_certified(peeled, k, 0) for k in range(socle + 1)]
     maps = None
 
     def rank(k):
@@ -804,11 +808,8 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
         if ranks[k] is None:
             ranks[k] = dims[k + 1] if onto else rank(k)
         onto = ranks[k] == dims[k + 1]
-    per = []
-    for k, r in enumerate(ranks):
-        a, b = dims[k], dims[k + 1]
-        full = r == min(a, b)
-        per.append(PerDegree(k, a, b, r, full, "none" if full else _failure_mode(a, b, r)))
+    per = [PerDegree(k, a, b, r, r == min(a, b), _failure_mode(a, b, r))
+           for k, (a, b, r) in enumerate(zip(dims, dims[1:], ranks))]
     return WlpReport(all(p.full_rank for p in per), socle, tuple(per))
 
 
@@ -819,17 +820,16 @@ def slp_check(frame: ArtinianFrame) -> SlpReport:
     As in ``wlp_check``, a pair the vertex peel decides takes its rank
     from the levels' strings (``_certified``), every pair when Δ is a
     simplex joined with suspensions, every pair of BALL10 at caps 2 to 4
-    as well.  And once L^j A_i = A_{i+j} the maps
-    from later degrees are onto too (A_{i+1+j} = A_1 L^j A_i =
-    L^j A_{i+1}).  The other pairs are eliminated: each ×L map M_k is
-    built at most once, in the symmetry-adapted bases
-    (``IsotypicMaps.matrix``), and ×L^j from degree i is M_{i+j-1} times
-    ×L^{j-1} from degree i, composed up to the highest power still open
-    from degree i.
+    as well.  And once L^j A_i = A_{i+j} the maps from later degrees are
+    onto too (A_{i+1+j} = A_1 L^j A_i = L^j A_{i+1}).  The other pairs
+    are eliminated: each ×L map M_k is built at most once, in the
+    symmetry-adapted bases (``IsotypicMaps.matrix``), and ×L^j from
+    degree i is M_{i+j-1} times ×L^{j-1} from degree i, composed up to the
+    highest power still open from degree i.
     """
     socle = frame.socle_degree()
     peeled = _peeled_strings(frame)
-    dims = _dimensions(frame, peeled, socle)
+    dims = [_certified(peeled, k, 0) for k in range(socle + 1)]
     maps, steps = None, {}  # the ×L maps M_k, built on first use
     ranks = {}  # (j, i) -> rank of ×L^j from degree i
     onto = set()  # powers j onto from some lower degree

@@ -592,7 +592,9 @@ def hilbert_series(frame: ArtinianFrame) -> tuple:
     counted without enumerating a basis.  The standard monomials with
     support F are counted by the coefficients of the product of
     t + t^2 + ... + t^(a_v - 1) over v in F; faces with the same caps
-    share one product."""
+    share one product.  ``wlp_check`` and ``slp_check`` read the
+    dimensions from the vertex peel's strings instead; this count is the
+    independent oracle the tests hold them to."""
     caps = frame.cap_map
     shapes = Counter(tuple(sorted(caps[v] for v in f)) for f in _all_faces(frame.complex))
     total = [0] * (frame.socle_degree() + 1)

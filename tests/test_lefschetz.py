@@ -398,28 +398,33 @@ class TestOntoPropagation:
     def test_onto_degrees_are_not_eliminated(self, monkeypatch):
         # K33 caps 4 has dims 1, 6, 15, 24, 27, 18, 9: going down, 3 fails
         # injectivity (rank 23) and 2 is injective, so 0 and 1 are
-        # decided; going up, 4 is the first onto degree, so 5 is decided
+        # decided; going up, 4 is the first onto degree, so 5 is decided.
+        # The peel reads 2 and 4 from its levels, so only 3 is eliminated
         report, eliminated = eliminated_degrees(monkeypatch, ArtinianFrame(K33, 4))
         first_onto = next(p.k for p in report.per_degree if p.rank == p.dim_to)
         assert first_onto == 4 < report.socle_degree - 1
         assert [(p.k, p.rank) for p in report.failures()] == [(3, 23)]
-        assert eliminated == {2, 3, 4}
+        assert eliminated == {3}
+        assert report == check_direct(ArtinianFrame(K33, 4))
 
 
 def eliminated_degrees(monkeypatch, frame):
     """``wlp_check(frame)`` and the set of degrees whose ×L it eliminated,
-    each ranked matrix traced back to the degree of its ×L map."""
+    each ranked matrix traced back to the degree of its ×L map.  Ranks
+    taken on a link's frame, for its Jordan type, are not the frame's."""
     degree_of = {}
     eliminated = set()
     real_matrix, real_rank = IsotypicMaps.matrix, linalg.rank
 
     def recording_matrix(self, k):
         out = real_matrix(self, k)
-        degree_of[id(out)] = k
+        if self.frame == frame:
+            degree_of[id(out)] = k
         return out
 
     def recording_rank(matrix):
-        eliminated.add(degree_of[id(matrix)])
+        if id(matrix) in degree_of:
+            eliminated.add(degree_of.pop(id(matrix)))
         return real_rank(matrix)
 
     with monkeypatch.context() as patch:
@@ -474,9 +479,15 @@ EDGE_AND_POINT = ArtinianFrame(from_facets([{1, 2}, {3}]), {1: 5, 2: 5, 3: 2})
 # (no socle, dims 5 -> 6), so no rank may be passed down from degree 2
 TWO_FAILURES = ArtinianFrame(from_facets([{1, 3}, {2, 4, 6}]), {1: 2, 2: 3, 3: 2, 4: 2, 6: 4})
 # the complete graph K4 at caps 4 and the isolated vertex 5 at cap 2; the
-# peel takes the point off and gets stuck on K4
+# peel takes the point off, then K4's vertices, whose links are no joins
 K4 = from_facets([{a, b} for a in range(1, 5) for b in range(a + 1, 5)])
 K4_AND_POINT = ArtinianFrame(from_facets([*K4.facets, {5}]), {1: 4, 2: 4, 3: 4, 4: 4, 5: 2})
+# the real projective plane on 6 vertices, every link a 5-cycle, and the
+# 7-vertex torus, every link a 6-cycle: no link is a join
+RP2 = from_facets([{1, 2, 3}, {1, 3, 4}, {1, 4, 5}, {1, 5, 6}, {1, 2, 6},
+                   {2, 3, 5}, {3, 4, 6}, {2, 4, 5}, {3, 5, 6}, {2, 4, 6}])
+T7 = from_facets([{i % 7 + 1, (i + 1) % 7 + 1, (i + 3) % 7 + 1} for i in range(7)]
+                 + [{i % 7 + 1, (i + 2) % 7 + 1, (i + 3) % 7 + 1} for i in range(7)])
 
 
 class TestSocleRule:
@@ -526,16 +537,17 @@ class TestSocleRule:
         assert [(p.k, p.rank) for p in report.failures()] == [(8, 1069)]
         assert eliminated == set()
 
-    def test_dunce_eliminates_three_degrees(self, cx, monkeypatch):
-        # the peel gets stuck on DUNCE; at caps 5 the dims rise to 252 in
-        # degree 7 and the only socle degree is 12: 6 fails injectivity
-        # (242 -> 252, rank 241), 5 is injective, so 0 to 4 are decided;
-        # going up, 7 is the first onto degree, so 8 to 11 are decided
+    def test_dunce_eliminates_two_degrees(self, cx, monkeypatch):
+        # no link of DUNCE is a join, so its peel takes the links' Jordan
+        # types; at caps 5 the dims rise to 252 in degree 7 and the only
+        # socle degree is 12: 6 fails injectivity (242 -> 252, rank 241), 5
+        # is injective, so 0 to 4 are decided; going up, 7 is the first
+        # onto degree, so 8 to 11 are decided, and the peel reads 7
         frame = ArtinianFrame(cx("DUNCE"), 5)
-        assert lefschetz._peeled_strings(frame) is None
+        assert len(lefschetz._peeled_strings(frame)) == 7
         report, eliminated = eliminated_degrees(monkeypatch, frame)
         assert [(p.k, p.rank) for p in report.failures()] == [(6, 241)]
-        assert eliminated == {5, 6, 7}
+        assert eliminated == {5, 6}
         assert report == check_direct(frame)
 
     @settings(max_examples=150, deadline=None)
@@ -683,9 +695,9 @@ class TestComposedPowers:
 
     def test_only_linear_maps_are_built(self, cx, monkeypatch):
         # frames that take the walk: no fixture here is a simplex joined
-        # with suspensions, and K33 has twins; the peel is stuck on DUNCE
-        # and K33, so every ×L map is built there, and it decides every
-        # pair of FAN4 and BALL10, so none is built there
+        # with suspensions, and K33 has twins; the peel decides every pair
+        # of FAN4 and BALL10, so no map is built there.  DUNCE's links build
+        # maps of their own, for their Jordan types, which are not counted
         calls, built = [], []
         real, real_matrix = lefschetz.multiplication_matrix, IsotypicMaps.matrix
 
@@ -694,7 +706,8 @@ class TestComposedPowers:
             return real(frame, f, k)
 
         def recording_matrix(self, k):
-            built.append(k)
+            if self.frame == frame:
+                built.append(k)
             return real_matrix(self, k)
 
         monkeypatch.setattr(lefschetz, "multiplication_matrix", recording)
@@ -709,9 +722,7 @@ class TestComposedPowers:
             # L^j expanded
             assert not calls, frame
             assert built == sorted(set(built)), frame
-            if lefschetz._peeled_strings(frame) is None:
-                assert built == list(range(frame.socle_degree())), frame
-            elif frame.complex in (cx("FAN4"), cx("BALL10")):
+            if frame.complex in (cx("FAN4"), cx("BALL10")):
                 assert built == [], frame
 
     def test_first_power_matches_wlp(self, cx):
@@ -1724,16 +1735,19 @@ class TestOrbitFrame:
 
 def recorded(frame):
     """``wlp_check(frame)``, the degrees whose layouts it built and the
-    set of degrees whose ×L it eliminated; no layout is built twice."""
+    set of degrees whose ×L it eliminated; no layout is built twice.  Maps
+    built on a link's frame, for its Jordan type, are not the frame's."""
     built, eliminated = [], set()
     real_layout, real_matrix = IsotypicMaps._layout, IsotypicMaps.matrix
 
     def recording_layout(self, k):
-        built.append(k)
+        if self.frame == frame:
+            built.append(k)
         return real_layout(self, k)
 
     def recording_matrix(self, k):
-        eliminated.add(k)
+        if self.frame == frame:
+            eliminated.add(k)
         return real_matrix(self, k)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1782,22 +1796,26 @@ class TestOneLayoutPerDegree:
 
     @pytest.mark.parametrize("caps, first", [(3, 1), (4, 2), (5, 3)])
     def test_k33(self, caps, first):
+        # the peel reads every degree but the one that fails injectivity
         frame = ArtinianFrame(K33, caps)
         report, built, eliminated = recorded(frame)
-        assert built == list(range(first, first + 4))
-        assert eliminated == set(range(first, first + 3))
+        assert built == [first + 1, first + 2]
+        assert eliminated == {first + 1}
+        assert [p.k for p in report.failures()] == [first + 1]
         direct = direct_ranks(frame, frame.linear_form(), range(report.socle_degree))
         assert [p.rank for p in report.per_degree] == direct
 
     def test_two_stretches(self):
-        # the peel gets stuck on K4; with the point 5 at cap 2 the dims
-        # are 1, 5, 10, 16, 18, 12, 6: 3 is injective and 4 the first onto
-        # map; 2 is decided, and x5 is socle in degree 1, so ×L fails
-        # injectivity there and 0 is eliminated as well
-        assert lefschetz._peeled_strings(K4_AND_POINT) is None
+        # the peel takes the point 5 off, then K4's vertices by their
+        # links' Jordan types; with the point 5 at cap 2 the dims are 1, 5,
+        # 10, 16, 18, 12, 6: 3 is injective and 4 the first onto map; 2 is
+        # decided, x5 is socle in degree 1, so ×L fails injectivity there,
+        # and the peel reads 0, 1 and 4, so only 3 is eliminated
+        assert len(lefschetz._peeled_strings(K4_AND_POINT)) == 4
         report, built, eliminated = recorded(K4_AND_POINT)
-        assert eliminated == {0, 1, 3, 4}
-        assert built == [0, 1, 2, 3, 4, 5]
+        assert eliminated == {3}
+        assert built == [3, 4]
+        assert [(p.k, p.rank) for p in report.failures()] == [(1, 4)]
         assert report == check_direct(K4_AND_POINT)
 
     @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
@@ -1922,12 +1940,11 @@ class TestSuspensions:
 
     def test_other_frames_take_the_walk(self, cx):
         # the walk eliminates what the peel leaves open: nothing on the
-        # star K1,4, whose leaves peel; on C3 and C3 * S^0 the degree whose
-        # connecting map the peel cannot rule out, and on BALL10 * S^0 the
-        # degree that fails injectivity; and every degree the rules leave
-        # open on K33, where the peel is stuck
+        # star K1,4, whose leaves peel; on C3, C3 * S^0 and K33 the degree
+        # whose connecting map the peel cannot rule out, and on BALL10 *
+        # S^0 the degree that fails injectivity
         expected = [(STAR, set()), (cx("C3"), {1}), (suspension(cx("C3")), {2}),
-                    (K33, {0, 1}), (suspension(cx("BALL10")), {3})]
+                    (K33, {1}), (suspension(cx("BALL10")), {3})]
         for complex_, open_ in expected:
             frame = ArtinianFrame(complex_, 2)
             assert suspension_strings(frame) is None, complex_
@@ -2061,17 +2078,98 @@ class TestPeel:
         assert star == Counter({(1, 2): 1})
         assert leaf == Counter({(0, 3): 1, (1, 1): 1, (1, 2): 1})
 
-    def test_stuck(self, cx):
-        # no link of DUNCE, K4 or K33 is a simplex joined with suspensions
-        for complex_ in (cx("DUNCE"), K4, K33, suspension(K4)):
-            for caps in (2, 3):
-                assert lefschetz._peeled_strings(ArtinianFrame(complex_, caps)) is None
+    def test_no_join_link(self, cx):
+        # no link of DUNCE, K4 or K33 is a simplex joined with suspensions;
+        # the peel takes their links' Jordan types and still counts every
+        # dimension
+        frames = [ArtinianFrame(complex_, caps)
+                  for complex_ in (cx("DUNCE"), K4, K33, suspension(K4)) for caps in (2, 3)]
+        for frame in [*frames, K4_AND_POINT]:
+            peeled = lefschetz._peeled_strings(frame)
+            assert len(peeled) > 1, frame
+            strings = sum(peeled, Counter())
+            dims = hilbert_series(frame)
+            assert tuple(lefschetz._covering(strings, k, 0) for k in range(len(dims))) == dims
 
     def test_joins_are_exact(self, cx):
         for name in ("OCT", "CROSS4", "C4", "PATH3", "EDGE"):
             assert len(lefschetz._peeled_strings(ArtinianFrame(cx(name), 3))) == 1, name
         for name in ("FAN4", "BALL10", "C3"):
             assert len(lefschetz._peeled_strings(ArtinianFrame(cx(name), 3))) > 1, name
+
+
+def report_strings(report):
+    """The strings of ×L read from an ``SlpReport``'s ranks: n(i, l) =
+    r(l - 1, i) - r(l, i) - r(l, i - 1) + r(l + 1, i - 1), r(j, i) the
+    rank of ×L^j from degree i, r(0, i) = dim A_i, r = 0 out of range."""
+    r = {}
+    for j, i, a, b, rank, _ in report.per_pair:
+        r[j, i], r[0, i], r[0, i + j] = rank, a, b
+
+    def at(j, i):
+        return r.get((j, i), 0)
+
+    top = report.socle_degree
+    counts = {(i, n): at(n - 1, i) - at(n, i) - at(n, i - 1) + at(n + 1, i - 1)
+              for i in range(top + 1) for n in range(1, top - i + 2)}
+    return Counter({string: c for string, c in counts.items() if c})
+
+
+def check_strings(frame):
+    """The strings read from ``slp_check(frame)`` are counted non-negative
+    times, cover every dimension (``hilbert_series``) and are the Jordan
+    type ``_jordan_type`` gives the frame."""
+    strings = report_strings(slp_check(frame))
+    assert all(c > 0 for c in strings.values()), (frame, strings)
+    dims = hilbert_series(frame)
+    assert tuple(lefschetz._covering(strings, k, 0) for k in range(len(dims))) == dims, frame
+    assert lefschetz._jordan_type(frame.complex.facets, frame.cap_map, {}) == strings, frame
+
+
+class TestJordanType:
+    """Link Jordan types by recursion: the strings the checks read against
+    the ranks they report."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(capped_frames())
+    @example(EDGE_AND_POINT)
+    @example(TWO_FAILURES)
+    @example(K4_AND_POINT)
+    def test_capped_frames(self, frame):
+        check_strings(frame)
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_fixtures(self, cx, name):
+        for frame in fixture_frames(cx, [name]):
+            check_strings(frame)
+
+    @pytest.mark.parametrize("complex_", [RP2, T7], ids=["RP2", "T7"])
+    @pytest.mark.parametrize("caps", [2, 3, 4])
+    def test_surfaces(self, complex_, caps):
+        # each link is a cycle of 5 or 6 vertices, whose own peel leaves
+        # pairs open, so the links' Jordan types take eliminations of
+        # their own
+        frame = ArtinianFrame(complex_, caps)
+        for v in complex_.vertices:
+            link = [f - {v} for f in complex_.facets if v in f]
+            assert lefschetz._suspension_strings(link, frame.cap_map) is None
+        check_direct(frame)
+        assert slp_check(frame) == slp_reference(frame)
+        check_strings(frame)
+        assert len(lefschetz._peeled_strings(frame)) > 1
+
+    def test_links_eliminate(self, cx):
+        # RP2 and DUNCE at caps 3 take ranks on a link's frame; the
+        # cross-polytope CROSS4, a join, takes none
+        for complex_, eliminates in ((RP2, True), (cx("DUNCE"), True), (cx("CROSS4"), False)):
+            frame = ArtinianFrame(complex_, 3)
+            frames = []
+            real = IsotypicMaps.__init__
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(IsotypicMaps, "__init__",
+                              lambda self, f: frames.append(f) or real(self, f))
+                slp_check(frame)
+            assert any(f != frame for f in frames) == eliminates, complex_
 
 
 def cone(complex_):

@@ -643,10 +643,9 @@ def _peeled_strings(frame: ArtinianFrame) -> tuple:
 
     The peel.  While Δ is no simplex joined with suspensions, take the
     first vertex v, ordered by (number of facets holding it, id), whose
-    link is one, or else the first vertex; keep the strings of its star
-    piece and go on with the deletion Δ - v.  Once Δ is such a join, keep
-    its strings (``_suspension_strings``) as the leaf and stop.  A peel of
-    one level, the leaf, peeled no vertex.
+    link is one, or else the first vertex; keep its star piece's strings
+    and go on with the deletion Δ - v.  Once Δ is such a join, its strings
+    (``_suspension_strings``) are the leaf.
 
     The pieces.  Let A = K[Δ]/(x_u^{a_u}).  There is a short exact
     sequence of graded K[L]-modules 0 → x_v A → A → A/x_v A → 0.
@@ -668,44 +667,46 @@ def _peeled_strings(frame: ArtinianFrame) -> tuple:
     facets, caps = frame.complex.facets, frame.cap_map
     levels, memo = [], {}  # memo: the links' Jordan types, for this peel
     while (leaf := _suspension_strings(facets, caps)) is None:
-        links = {v: [f - {v} for f in facets if v in f] for v in set().union(*facets)}
-        order = sorted(links, key=lambda v: (len(links[v]), v))
-        v = next((v for v in order if _suspension_strings(links[v], caps) is not None), order[0])
-        levels.append(_tensor(_jordan_type(links[v], caps, memo), ((1, caps[v] - 1),)))
+        holding = Counter(v for f in facets for v in f)
+        order = sorted(holding, key=lambda v: (holding[v], v))
+        for v in order:
+            link = [f - {v} for f in facets if v in f]
+            if (piece := _suspension_strings(link, caps)) is not None:
+                break
+        else:
+            v = order[0]
+            piece = _jordan_type(link := [f - {v} for f in facets if v in f], caps, memo)
+        levels.append(_tensor(piece, ((1, caps[v] - 1),)))
         rest = [f for f in facets if v not in f]
-        facets = rest + [g for g in links[v] if not any(g <= f for f in rest)]
+        facets = rest + [g for g in link if not any(g <= f for f in rest)]
     return (*levels, leaf)
 
 
 def _jordan_type(facets, caps: dict, memo: dict) -> Counter:
     """The graded Jordan type of ×L, a Counter of strings (start degree,
-    length), on the frame B with these facets and caps, kept in memo by
-    facet set.  A simplex joined with suspensions takes the closed form
-    (``_suspension_strings``); any other B has its ranks r(j, i) of ×L^j:
-    B_i → B_{i+j} taken by ``slp_check``, which peels B in turn.
+    length), on the frame B with these facets and caps: the closed form
+    when B is a simplex joined with suspensions (``_suspension_strings``),
+    else read from the ranks r(j, i) of ×L^j: B_i → B_{i+j} that
+    ``slp_check`` takes on B, kept in memo by facet set.
 
     Strings from ranks.  r(j, i) counts the strings covering i and i + j
-    (``_covering``), r(0, i) = dim B_i, and r = 0 out of range.  So r(ℓ -
-    1, i) - r(ℓ, i) counts the strings from at most i that end at i + ℓ -
-    1, r(ℓ, i - 1) - r(ℓ + 1, i - 1) those from at most i - 1 that end
-    there, and their difference n(i, ℓ) counts the strings (i, ℓ).
-
-    The recursion ends: a peel hands over the link of a vertex v of its
-    frame, which misses v, and B's own peel deletes a vertex at each step,
-    so every nested call is on fewer vertices than the one above it.
+    (``_covering``), r(0, i) = dim B_i, and r = 0 out of range.  So
+    r(ℓ-1, i) - r(ℓ, i) counts the strings from at most i that end at i +
+    ℓ - 1, r(ℓ, i-1) - r(ℓ+1, i-1) those from at most i - 1 that end
+    there, and their difference n(i, ℓ) the strings (i, ℓ).  The recursion
+    ends: a peel hands over the link of a vertex v of its frame, which
+    misses v, and ``slp_check`` peels B a vertex per step, so each nested
+    call has fewer vertices than the one above it.
     """
-    key = frozenset(facets)
-    if key not in memo:
-        strings = _suspension_strings(facets, caps)
-        if strings is None:
-            r = Counter()  # (j, i) -> rank of ×L^j from degree i, dim B_i at j = 0
-            frame = ArtinianFrame(SimplicialComplex(facets), {v: caps[v] for f in facets for v in f})
-            for j, i, a, b, rank, _ in slp_check(frame).per_pair:
-                r[j, i], r[0, i], r[0, i + j] = rank, a, b
-            strings = Counter({(i, m + 1): c for m, i in r
-                               if (c := r[m, i] - r[m + 1, i] - r[m + 1, i - 1] + r[m + 2, i - 1])})
-        memo[key] = strings
-    return memo[key]
+    strings = _suspension_strings(facets, caps) or memo.get(frozenset(facets))
+    if strings is None:
+        r = Counter()  # (j, i) -> rank of ×L^j from degree i, dim B_i at j = 0
+        frame = ArtinianFrame(SimplicialComplex(facets), {v: caps[v] for f in facets for v in f})
+        for j, i, a, b, rank, _ in slp_check(frame).per_pair:
+            r[j, i], r[0, i], r[0, i + j] = rank, a, b
+        strings = memo[frozenset(facets)] = Counter({(i, m + 1): c for m, i in r if (
+            c := r[m, i] - r[m + 1, i] - r[m + 1, i - 1] + r[m + 2, i - 1])})
+    return strings
 
 
 def _covering(strings: Counter, i: int, j: int) -> int:
@@ -722,9 +723,9 @@ def _certified(peeled, i: int, j: int) -> Optional[int]:
 
     Each level splits a frame B (A at the top) as 0 → S → B → Q → 0, S =
     x_v B the star piece and Q = B/x_v B the frame on the deletion, the
-    next level down; the leaf's ranks, read from its Jordan type, are
-    exact.  ×L^j maps this sequence in degree i to the one in degree i +
-    j, so the snake lemma gives the exact sequence
+    next level down; the leaf's and the star pieces' ranks, read from
+    their Jordan types, are exact.  ×L^j maps this sequence in degree i to
+    the one in degree i + j, so the snake lemma gives the exact sequence
 
         0 → ker_S → ker_B → ker_Q --δ--> coker_S → coker_B → coker_Q → 0
 
@@ -732,14 +733,13 @@ def _certified(peeled, i: int, j: int) -> Optional[int]:
     dim Q_i, rank_B = rank_S + rank_Q + rank δ.  δ maps ker(×L^j on Q_i)
     to coker(×L^j: S_i → S_{i+j}), so δ = 0 where S is onto S_{i+j}
     (rank_S = dim S_{i+j}) or Q is injective on Q_i (rank_Q = dim Q_i),
-    and there rank_B = rank_S + rank_Q.  rank_S and dim S_k come from the
-    star piece's strings.  So, from the leaf up, the sum of the levels'
-    ranks is exact while every level meets one of the two conditions.
-    Where one does not, the sum is only a lower bound (rank δ >= 0).  A
-    sum that reaches min(dim A_i, dim A_{i+j}) meets them everywhere: each
+    and there rank_B = rank_S + rank_Q.  So, from the leaf up, the sum of
+    the levels' ranks is exact while every level meets one of the two
+    conditions, and a lower bound (rank δ >= 0) where one does not.  A sum
+    that reaches min(dim A_i, dim A_{i+j}) meets them everywhere: each
     level's rank is at most its dim in degree i and in degree i + j, and
     the dims add up, so a sum of dim A_i makes every Q injective and one
-    of dim A_{i+j} makes every S onto.  At j = 0 it reads dim A_i.
+    of dim A_{i+j} every S onto.
     """
     *pieces, leaf = peeled
     rank, source = _covering(leaf, i, j), _covering(leaf, i, 0)  # of Q, the level below
@@ -781,8 +781,8 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     """
     holds_socle = frame.socle_degrees()
     socle = max(holds_socle)
-    peeled = _peeled_strings(frame)
-    dims = [_certified(peeled, k, 0) for k in range(socle + 1)]
+    strings = sum(peeled := _peeled_strings(frame), Counter())
+    dims = [_covering(strings, k, 0) for k in range(socle + 1)]
     maps = None
 
     def rank(k):
@@ -819,17 +819,17 @@ def slp_check(frame: ArtinianFrame) -> SlpReport:
 
     As in ``wlp_check``, a pair the vertex peel decides takes its rank
     from the levels' strings (``_certified``), every pair when Δ is a
-    simplex joined with suspensions, every pair of BALL10 at caps 2 to 4
-    as well.  And once L^j A_i = A_{i+j} the maps from later degrees are
-    onto too (A_{i+1+j} = A_1 L^j A_i = L^j A_{i+1}).  The other pairs
-    are eliminated: each ×L map M_k is built at most once, in the
-    symmetry-adapted bases (``IsotypicMaps.matrix``), and ×L^j from
-    degree i is M_{i+j-1} times ×L^{j-1} from degree i, composed up to the
-    highest power still open from degree i.
+    simplex joined with suspensions.  And once L^j A_i = A_{i+j} the maps
+    from later degrees are onto too (A_{i+1+j} = A_1 L^j A_i = L^j
+    A_{i+1}).  The other pairs are eliminated: each ×L map M_k is built at
+    most once, in the symmetry-adapted bases (``IsotypicMaps.matrix``),
+    and ×L^j from degree i is M_{i+j-1} times ×L^{j-1} from degree i,
+    composed up to the highest power still open from degree i.
+    ``_jordan_type`` reads a link's strings from these ranks.
     """
     socle = frame.socle_degree()
-    peeled = _peeled_strings(frame)
-    dims = [_certified(peeled, k, 0) for k in range(socle + 1)]
+    strings = sum(peeled := _peeled_strings(frame), Counter())
+    dims = [_covering(strings, k, 0) for k in range(socle + 1)]
     maps, steps = None, {}  # the ×L maps M_k, built on first use
     ranks = {}  # (j, i) -> rank of ×L^j from degree i
     onto = set()  # powers j onto from some lower degree

@@ -222,6 +222,38 @@ class TestIdealMembership:
         with pytest.raises(PreconditionError):
             quotient_hilbert(complex_, [P("x1 + x9")], 1)
 
+    def test_past_the_vanishing_degree_matches_the_rank(self, cx, monkeypatch):
+        """From the first vanishing degree N on every homogeneous form is
+        a member, as the rank of ``_membership`` says, and none is asked
+        of it."""
+        rng = random.Random(20261020)
+        cases = []
+        for complex_, extra, _ in inverse_system_cases(cx):
+            extra = tuple(extra)
+            vanishing = lefschetz._first_vanishing(complex_, extra)[0]
+            for k in (vanishing, vanishing + 1):
+                for _ in range(2):
+                    g = Polynomial({
+                        Monomial(Counter(rng.choices(complex_.vertices, k=k))):
+                            Fraction(rng.randint(1, 3), rng.randint(1, 2))
+                        for _ in range(3)
+                    })
+                    assert lefschetz._membership(complex_, extra, g) is True, (complex_, g)
+                    cases.append((complex_, extra, g))
+        monkeypatch.setattr(lefschetz, "_membership", None)
+        for complex_, extra, g in cases:
+            assert ideal_membership(complex_, extra, g) is True, (complex_, g)
+
+    def test_past_the_vanishing_degree_still_validates(self, cx):
+        from lefkit.errors import PreconditionError
+
+        complex_, cand = oct_colored(cx)
+        assert is_sop(complex_, cand).vanishing_degree == 4
+        with pytest.raises(HomogeneityError):
+            ideal_membership(complex_, list(cand.theta), P("x1^5 + x2^4"))
+        with pytest.raises(PreconditionError):
+            ideal_membership(complex_, list(cand.theta), P("x1^4 + x9^4"))
+
 
 def dense_rank(rows):
     """Rank by plain Gaussian elimination over Fractions, independent of
@@ -1055,14 +1087,29 @@ def random_pure_power_form(rng, vertices, degree):
 
 def inverse_system_cases(cx):
     """(complex, extra forms, degrees): the sops of the inverse-system
-    tests, a sop with one form given twice, and seeded random sops with
-    non-integral coefficients, a quadratic form in every other one on OCT."""
+    tests, sops with one form given twice, sops of quadratic and cubic
+    forms with non-squarefree terms and ``Fraction`` coefficients, a
+    capped quotient where the column x1*x2 opens two rows, so the row
+    order follows the form's term order, and seeded random sops with
+    non-integral coefficients, a quadratic form in every other one on
+    OCT."""
     oct_ = cx("OCT")
+    c4 = cx("C4")
     tri = from_facets([{1, 2}, {2, 3}, {1, 3}, {4, 5}])
     colored = list(colored_sop(oct_, balanced_coloring(oct_)).theta)
+    mixed = [P("x1 + x2"), P("x3^2 - 1/2 x3*x5 + x4^2"),
+             P("x5^3 + 2/3 x1^2*x5 + x6^3 - x2*x6^2")]
+    square_cube = [P("x1^2 + 3/2 x2^2 - x3*x4 + x4^2"),
+                   P("x1^2*x2 + x3^3 - 1/3 x4^3 + x2*x3^2")]
     cases = [
         (oct_, colored, range(5)),
         (oct_, colored + colored[:1], range(5)),
+        (oct_, mixed, range(9)),
+        (oct_, mixed + mixed[2:], range(9)),
+        (c4, square_cube, range(8)),
+        (c4, ArtinianFrame(c4, 2).power_generators() + [P("x1 + x2 + 1/2 x3")], range(5)),
+        (tri, ArtinianFrame(tri, 3).power_generators() + [P("x1^2*x2 - 2/5 x5^3 + x4*x5^2")],
+         range(7)),
         (oct_, list(universal_sop(6, 3).theta), range(8)),
         (from_facets([{1, 2}]), [P("x1^2"), P("x2^2")], range(4)),
         (tri, [P("x1 + 2 x2 + 3 x3 + x4"), P("x1 + x2 + x3 + x5")], range(5)),
@@ -1106,22 +1153,33 @@ def contraction_matrix_reference(complex_, extra, k):
 
 class TestContractionMatrixOracle:
     def test_fixture_sops_match_the_pairwise_loop(self, cx, monkeypatch):
+        """Below the first vanishing degree N the contraction matrix is
+        the pairwise loop's and its kernel the piece.  From N on no matrix
+        is built, and the pairwise loop's matrix has no kernel there:
+        duality is checked exactly where the piece skips it."""
         built = []
         kernel_basis = linalg.kernel_basis
         monkeypatch.setattr(linalg, "kernel_basis", lambda m: built.append(m) or kernel_basis(m))
         for complex_, extra, degrees in inverse_system_cases(cx):
+            # the complex's homology and the Hilbert scan come first
+            vanishing = lefschetz._first_vanishing(complex_, tuple(extra))[0]
             for k in degrees:
                 built.clear()
                 piece = inverse_system_piece(complex_, extra, k)
                 cols, reference = contraction_matrix_reference(complex_, extra, k)
-                matrix = built[-1]  # the complex's homology may come first
+                assert piece.dimension == quotient_hilbert(complex_, extra, k)
+                if k >= vanishing:
+                    assert built == [], (complex_, extra, k)
+                    assert piece.basis == ()
+                    assert kernel_basis(reference).vectors == (), (complex_, extra, k)
+                    continue
+                [matrix] = built
                 assert matrix == reference, (complex_, extra, k)
                 assert_normal_form(matrix)
                 assert piece.basis == tuple(
                     Polynomial({cols[j]: c for j, c in enumerate(vec) if c})
                     for vec in kernel_basis(reference).vectors
                 )
-                assert piece.dimension == quotient_hilbert(complex_, extra, k)
 
 
 class TestTrustedMatrices:

@@ -47,7 +47,7 @@ from .monomials import (
     ArtinianFrame,
     Monomial,
     Polynomial,
-    _divisors,
+    _over,
     _products,
     _times,
     contract,
@@ -367,13 +367,11 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     matrix.  Below N the contraction matrix is built here, not from span
     rows, so duality stays an independent check of the quotient
     dimensions.  Its columns are the standard monomials b of degree k,
-    and each span form g has one row per quotient q = b / t over its
-    terms t that divide b, in order of first appearance, the terms of one
-    b in g's term order; entry (g, q), b is g's coefficient of t, read
-    into ``linalg``'s normal form once per form.  The terms dividing b are
-    found by looking its divisors of degree deg g (``_divisors``) up
-    among g's terms.  A form given more than once adds its coefficients
-    once per copy.
+    and each span form g has one row per quotient q = b / t (``_over``)
+    over its terms t, in order of first appearance; entry (g, q), b is
+    g's coefficient of t, read into ``linalg``'s normal form once per
+    form.  A form given more than once adds its coefficients once per
+    copy.
     """
     extra = tuple(extra)
     vanishing = _first_vanishing(cx, extra)[0]
@@ -384,19 +382,14 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     _, _, cols, others = _graded_basis(cx, extra, k)
     row_index = {}
     entries = {}
-    divisors = {}  # degree e -> per column, its (divisor, quotient) pairs
     for n, (g, copies) in enumerate(Counter(others).items()):
-        e = g.degree()
-        if e not in divisors:
-            divisors[e] = [_divisors(b, e) for b in cols]
-        terms = {t.exps: (i, linalg._exact(c * copies))
-                 for i, (t, c) in enumerate(g.terms.items())}
-        for j, pairs in enumerate(divisors[e]):
-            hits = [(term, q) for d, q in pairs if (term := terms.get(d))]
-            hits.sort()  # by position in g.terms
-            for (_, c), q in hits:
-                # distinct terms of one form give distinct quotients
-                entries[row_index.setdefault((n, q), len(row_index)), j] = c
+        terms = [(t.exps, linalg._exact(c * copies)) for t, c in g.terms.items()]
+        for j, b in enumerate(cols):
+            for t, c in terms:
+                q = _over(b, t)
+                if q is not None:
+                    # distinct terms of one form give distinct quotients
+                    entries[row_index.setdefault((n, q), len(row_index)), j] = c
     mat = linalg.ExactMatrix._trusted(len(row_index), len(cols), entries)
     basis = tuple(
         Polynomial({Monomial._trusted(cols[j], k): c for j, c in enumerate(vec) if c})
@@ -420,20 +413,11 @@ def _membership(cx, extra: tuple, g):
 def ideal_membership(cx: SimplicialComplex, extra, g: Polynomial) -> bool:
     """Exact membership test by span rank (the inverse-system annihilation
     test is available through inverse_system_piece as an independent
-    oracle).
-
-    A homogeneous g of degree at least the first vanishing degree N is a
-    member without a rank: the quotient is standard graded, so its piece
-    of degree deg g >= N is zero.  A non-sop gives ``verify_unexpected``
-    no proven N, so ``_membership`` itself keeps the rank."""
+    oracle)."""
     extra = tuple(extra)
-    vanishing = _first_vanishing(cx, extra)[0]
-    if vanishing is None:
+    if _first_vanishing(cx, extra)[0] is None:
         raise NotArtinian("membership is supported for artinian quotients only")
-    if g.degree() < vanishing:
-        return _membership(cx, extra, g)
-    _validate_extra(cx, [g])
-    return True
+    return _membership(cx, extra, g)
 
 
 def _failure_mode(dim_from, dim_to, rank):

@@ -3,14 +3,14 @@ monomial algebras.
 
 Coefficients are exact rationals end to end.  Inside the engine a
 monomial is its exponent tuple, the sorted pairs of ``Monomial.exps``,
-multiplied by ``_times``, divided by ``_over`` and split by
-``_divisors``; a ``Monomial`` is built only where a result leaves the
-library.  Monomials of equal degree are ordered lexicographically
-ascending on their exponent vectors over ascending variable ids
-(``_order_key``); every basis and matrix in the library is emitted in
-this graded-lex order so outputs are stable.  Every basis, of a capped
-frame or of a quotient by extra forms, comes from the cached
-``standard_monomials``: a frame is the quotient by its power generators.
+multiplied by ``_times`` and divided by ``_over``; a ``Monomial`` is
+built only where a result leaves the library.  Monomials of equal degree
+are ordered lexicographically ascending on their exponent vectors over
+ascending variable ids (``_order_key``); every basis and matrix in the
+library is emitted in this graded-lex order so outputs are stable.  Every
+basis, of a capped frame or of a quotient by extra forms, comes from the
+cached ``standard_monomials``: a frame is the quotient by its power
+generators.
 """
 
 from __future__ import annotations
@@ -167,23 +167,6 @@ def _over(exps, other):
             out.append((v, f - e))
     out.extend(rest)
     return tuple(out)
-
-
-def _divisors(exps, e):
-    """The (d, exps / d) pairs over the divisors d of exps of degree
-    e >= 1.  A divisor's first variable v is one of exps, at any exponent
-    a that exps allows; the rest of it, if a < e, is a divisor of what
-    follows v in exps, and the quotient keeps what precedes v."""
-    out = []
-    for i, (v, f) in enumerate(exps):
-        head, tail = exps[:i], exps[i + 1:]
-        for a in range(min(f, e), 0, -1):
-            left = head + ((v, f - a),) if a < f else head
-            if a == e:
-                out.append((((v, a),), left + tail))
-            else:
-                out.extend((((v, a),) + d, left + q) for d, q in _divisors(tail, e - a))
-    return out
 
 
 class Polynomial:

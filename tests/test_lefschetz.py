@@ -222,28 +222,6 @@ class TestIdealMembership:
         with pytest.raises(PreconditionError):
             quotient_hilbert(complex_, [P("x1 + x9")], 1)
 
-    def test_past_the_vanishing_degree_matches_the_rank(self, cx, monkeypatch):
-        """From the first vanishing degree N on every homogeneous form is
-        a member, as the rank of ``_membership`` says, and none is asked
-        of it."""
-        rng = random.Random(20261020)
-        cases = []
-        for complex_, extra, _ in inverse_system_cases(cx):
-            extra = tuple(extra)
-            vanishing = lefschetz._first_vanishing(complex_, extra)[0]
-            for k in (vanishing, vanishing + 1):
-                for _ in range(2):
-                    g = Polynomial({
-                        Monomial(Counter(rng.choices(complex_.vertices, k=k))):
-                            Fraction(rng.randint(1, 3), rng.randint(1, 2))
-                        for _ in range(3)
-                    })
-                    assert lefschetz._membership(complex_, extra, g) is True, (complex_, g)
-                    cases.append((complex_, extra, g))
-        monkeypatch.setattr(lefschetz, "_membership", None)
-        for complex_, extra, g in cases:
-            assert ideal_membership(complex_, extra, g) is True, (complex_, g)
-
     def test_past_the_vanishing_degree_still_validates(self, cx):
         from lefkit.errors import PreconditionError
 
@@ -1089,8 +1067,7 @@ def inverse_system_cases(cx):
     """(complex, extra forms, degrees): the sops of the inverse-system
     tests, sops with one form given twice, sops of quadratic and cubic
     forms with non-squarefree terms and ``Fraction`` coefficients, a
-    capped quotient where the column x1*x2 opens two rows, so the row
-    order follows the form's term order, and seeded random sops with
+    capped quotient with a cubic form, and seeded random sops with
     non-integral coefficients, a quadratic form in every other one on
     OCT."""
     oct_ = cx("OCT")
@@ -1107,7 +1084,6 @@ def inverse_system_cases(cx):
         (oct_, mixed, range(9)),
         (oct_, mixed + mixed[2:], range(9)),
         (c4, square_cube, range(8)),
-        (c4, ArtinianFrame(c4, 2).power_generators() + [P("x1 + x2 + 1/2 x3")], range(5)),
         (tri, ArtinianFrame(tri, 3).power_generators() + [P("x1^2*x2 - 2/5 x5^3 + x4*x5^2")],
          range(7)),
         (oct_, list(universal_sop(6, 3).theta), range(8)),

@@ -18,7 +18,7 @@ from lefkit.errors import (
     RangeError,
 )
 from lefkit.complexes import _face_compositions
-from lefkit.monomials import _divisors, _over, _times
+from lefkit.monomials import _over, _times
 from lefkit.monomials import (
     ArtinianFrame,
     IdealPresentation,
@@ -141,31 +141,6 @@ class TestProductWalk:
         assert _times(x, y) == expected
         assert _times(y, x) == expected
         assert _over(_times(x, y), y) == x
-
-
-class TestDivisorEnumeration:
-    """``_divisors`` lists every divisor of the given degree once, with
-    its quotient."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(exponent_maps, st.integers(1, 6))
-    @example({1: 1, 2: 1, 3: 1}, 1)
-    @example({1: 2, 4: 1}, 2)  # x1^2 as well as x1*x4
-    @example({2: 3}, 3)  # a pure power
-    @example({1: 2, 3: 1, 5: 3}, 3)
-    @example({1: 1}, 2)  # past the degree: none
-    def test_divisors_match_the_exponent_box(self, a, e):
-        exps = exps_of(a)
-        box = product(*(range(f + 1) for _, f in exps))
-        expected = sorted(
-            tuple((v, c) for (v, _), c in zip(exps, counts) if c)
-            for counts in box if sum(counts) == e
-        )
-        pairs = _divisors(exps, e)
-        assert sorted(d for d, _ in pairs) == expected
-        for d, q in pairs:
-            assert q == _over(exps, d)
-            assert _times(q, d) == exps
 
 
 def divides_reference(a, b):

@@ -222,16 +222,6 @@ class TestIdealMembership:
         with pytest.raises(PreconditionError):
             quotient_hilbert(complex_, [P("x1 + x9")], 1)
 
-    def test_past_the_vanishing_degree_still_validates(self, cx):
-        from lefkit.errors import PreconditionError
-
-        complex_, cand = oct_colored(cx)
-        assert is_sop(complex_, cand).vanishing_degree == 4
-        with pytest.raises(HomogeneityError):
-            ideal_membership(complex_, list(cand.theta), P("x1^5 + x2^4"))
-        with pytest.raises(PreconditionError):
-            ideal_membership(complex_, list(cand.theta), P("x1^4 + x9^4"))
-
 
 def dense_rank(rows):
     """Rank by plain Gaussian elimination over Fractions, independent of

@@ -47,11 +47,13 @@ from .monomials import (
     ArtinianFrame,
     Monomial,
     Polynomial,
-    _over,
-    _products,
-    _times,
+    code,
+    code_base,
+    coded_monomials,
+    coded_terms,
     contract,
     differentiate,
+    exponent_weights,
     face_monomials,  # unused here; benchmarks/selftest.py checks the tracer wraps this binding
     hilbert_function,
     multiplication_matrix,
@@ -204,18 +206,28 @@ def _hilbert(cx, extra: tuple, k: int) -> int:
     """Degree-k dimension of the quotient by extra: the standard monomials
     minus the rank of the span of the other generators.
 
+    The span has a row m·g per form g and standard monomial m of degree
+    k - deg g, with g's coefficient of t in the column of m·t.  The
+    products are sums of codes (``coded_monomials``) with exponents up
+    to k: no monomial coded or formed has a larger degree.  Distinct
+    terms give distinct products, and a product missing from the columns
+    is zero in the quotient.
+
     Only the value is memoised: vanishing scans, inverse-system pieces and
     membership tests ask for the same degrees over and over, and an int
     costs next to nothing to keep, where span rows would not.
     """
     caps, filters, cols, others = _graded_basis(cx, extra, k)
-    index = {m: j for j, m in enumerate(cols)}
+    base = code_base(k)
+    index = coded_monomials(cx, k, base, caps, filters)
     entries = {}
     i = 0
     for g in others:
-        for products in _products(standard_monomials(cx, k - g.degree(), caps, filters), g, index):
-            for j, c in products:
-                entries[i, j] = c
+        terms = coded_terms(cx, g, base)
+        for m in coded_monomials(cx, k - g.degree(), base, caps, filters):
+            for t, c in terms:
+                if (j := index.get(m + t)) is not None:
+                    entries[i, j] = c
             i += 1
     span = linalg.ExactMatrix._trusted(i, len(cols), entries)
     return len(cols) - (linalg.rank(span) if span.entries else 0)
@@ -367,11 +379,13 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     matrix.  Below N the contraction matrix is built here, not from span
     rows, so duality stays an independent check of the quotient
     dimensions.  Its columns are the standard monomials b of degree k,
-    and each span form g has one row per quotient q = b / t (``_over``)
-    over its terms t, in order of first appearance; entry (g, q), b is
-    g's coefficient of t, read into ``linalg``'s normal form once per
-    form.  A form given more than once adds its coefficients once per
-    copy.
+    and each span form g has one row per quotient q = b / t over its
+    terms t, in order of first appearance; entry (g, q), b is g's
+    coefficient of t, read into ``linalg``'s normal form once per form.
+    A form given more than once adds its coefficients once per copy.  The
+    quotients are differences of codes with exponents up to k, looked up
+    in the standard monomials of degree k - deg g: t divides b exactly
+    when the difference is a code there (``coded_monomials``).
     """
     extra = tuple(extra)
     vanishing = _first_vanishing(cx, extra)[0]
@@ -379,15 +393,16 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
         raise NotArtinian("quotient Hilbert function does not vanish by the sop bound")
     if k >= vanishing:
         return InverseSystemPiece(k, ())
-    _, _, cols, others = _graded_basis(cx, extra, k)
+    caps, filters, cols, others = _graded_basis(cx, extra, k)
+    base = code_base(k)
     row_index = {}
     entries = {}
     for n, (g, copies) in enumerate(Counter(others).items()):
-        terms = [(t.exps, linalg._exact(c * copies)) for t, c in g.terms.items()]
-        for j, b in enumerate(cols):
+        terms = coded_terms(cx, g, base, copies)
+        lower = coded_monomials(cx, k - g.degree(), base, caps, filters)
+        for b, j in coded_monomials(cx, k, base, caps, filters).items():
             for t, c in terms:
-                q = _over(b, t)
-                if q is not None:
+                if (q := b - t) in lower:
                     # distinct terms of one form give distinct quotients
                     entries[row_index.setdefault((n, q), len(row_index)), j] = c
     mat = linalg.ExactMatrix._trusted(len(row_index), len(cols), entries)
@@ -485,9 +500,13 @@ class IsotypicMaps:
 
     ``matrix(k)`` lays every block along its diagonal, characters
     ascending; without twins it is ``multiplication_matrix(frame, L, k)``.
-    Products are taken on the exponent tuples (``_times``); no
-    ``Monomial`` is built.  Each degree's layout is built on first use and
-    kept with the instance, so maps taken in any order share it.
+    Representatives are held as their codes (``code``, as in
+    ``coded_monomials``; the layouts index them, so no cached view is
+    kept), and x_v r is the sum of two codes: r's exponents are below
+    their caps and x_v adds one, so every exponent coded or formed is at
+    most the largest cap of Δ'.  No ``Monomial`` is built.  Each
+    degree's layout is built on first use and kept with the instance, so
+    maps taken in any order share it.
     """
 
     def __init__(self, frame: ArtinianFrame):
@@ -499,16 +518,18 @@ class IsotypicMaps:
             {v: a for v, a in frame.caps if v not in second})
         self._bits = {a: 1 << bit for bit, (a, _) in enumerate(self.pairs)}
         cx = self.orbit_frame.complex
+        self._base = code_base(max(a for _, a in self.orbit_frame.caps))
+        self._weights = weights = exponent_weights(cx, self._base)
         adjacent = _adjacency(cx.vertices, one_skeleton_edges(cx))
         # x_v m can be standard only for v next to every vertex of m; the
-        # monomial 1 (key None) takes every x_v, each kept as its exps and
+        # monomial 1 (key None) takes every x_v, each kept as its code and
         # its bit if v is a first twin
         bits = self._bits
         self._candidates = {
-            v: tuple((((w, 1),), bits.get(w, 0)) for w in sorted(c | {v}))
+            v: tuple((weights[w], bits.get(w, 0)) for w in sorted(c | {v}))
             for v, c in adjacent.items()
         }
-        self._candidates[None] = tuple((((w, 1),), bits.get(w, 0)) for w in cx.vertices)
+        self._candidates[None] = tuple((weights[w], bits.get(w, 0)) for w in cx.vertices)
         self._layouts = {}  # degree -> layout, built on first use
 
     def _unbalanced(self, r) -> int:
@@ -520,16 +541,20 @@ class IsotypicMaps:
         return free
 
     def _layout(self, k: int) -> tuple:
-        """Each character S filed in degree k mapped to its basis, and the
-        length of the diagonal.  The basis of S is the representatives
-        whose balanced mask misses S, in standard-monomial order, each
-        mapped to its position along the diagonal, where the characters
-        ascend.  The trivial character's basis holds every
-        representative."""
+        """Each character S filed in degree k mapped to its basis, the
+        length of the diagonal, and each representative's code mapped to
+        its candidates x_v and its unbalanced mask.  The basis of S is the
+        codes of the representatives whose balanced mask misses S, in
+        standard-monomial order, each mapped to its position along the
+        diagonal, where the characters ascend.  The trivial character's
+        basis holds every representative."""
         bases = {}
+        heads = {}
         filed = {}  # unbalanced mask -> the characters its monomials are filed under
         for r in standard_monomials(self.orbit_frame.complex, k, self.orbit_frame.caps):
+            q = code(r, self._weights)
             free = self._unbalanced(r) if self.pairs else 0
+            heads[q] = (self._candidates[r[0][0] if r else None], free)
             chars = filed.get(free)
             if chars is None:
                 # the characters trivial on the stabiliser: submasks of free
@@ -539,12 +564,12 @@ class IsotypicMaps:
                     s = (s - 1) & free
                     chars.append(s)
             for s in chars:
-                bases.setdefault(s, []).append(r)
+                bases.setdefault(s, []).append(q)
         out, length = {}, 0
         for s in sorted(bases):
             out[s] = dict(zip(bases[s], range(length, length + len(bases[s]))))
             length += len(bases[s])
-        return out, length
+        return out, length, heads
 
     def matrix(self, k: int) -> linalg.ExactMatrix:
         """×L from degree k to k + 1, every character's block along the
@@ -553,25 +578,19 @@ class IsotypicMaps:
         for d in (k, k + 1):
             if d not in layouts:
                 layouts[d] = self._layout(d)
-        (src, width), (dst, height) = layouts[k], layouts[k + 1]
+        (src, width, heads), (dst, height, _) = layouts[k], layouts[k + 1]
         reps = dst.get(0, {})  # every representative lies in the trivial block
-        candidates = self._candidates
-        products = {}
+        # x_v r and x_b r share an orbit where v is a first twin missing
+        # from r, b its twin
+        products = {
+            r: [(q, 2 if bit & ~free else 1) for x, bit in candidates if (q := r + x) in reps]
+            for r, (candidates, free) in heads.items()
+        }
         entries = {}
         for s, basis in src.items():
             rows = dst.get(s, {})
             for r, j in basis.items():
-                targets = products.get(r)
-                if targets is None:
-                    free = self._unbalanced(r) if self.pairs else 0
-                    # x_v r and x_b r share an orbit where v is a first
-                    # twin missing from r, b its twin
-                    targets = products[r] = [
-                        (q, 2 if bit & ~free else 1)
-                        for x, bit in candidates[r[0][0] if r else None]
-                        if (q := _times(r, x)) in reps
-                    ]
-                for q, c in targets:
+                for q, c in products[r]:
                     entries[rows[q], j] = c
         return linalg.ExactMatrix._trusted(height, width, entries)
 

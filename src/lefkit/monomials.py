@@ -2,15 +2,21 @@
 monomial algebras.
 
 Coefficients are exact rationals end to end.  Inside the engine a
-monomial is its exponent tuple, the sorted pairs of ``Monomial.exps``,
-multiplied by ``_times`` and divided by ``_over``; a ``Monomial`` is
-built only where a result leaves the library.  Monomials of equal degree
-are ordered lexicographically ascending on their exponent vectors over
-ascending variable ids (``_order_key``); every basis and matrix in the
-library is emitted in this graded-lex order so outputs are stable.  Every
-basis, of a capped frame or of a quotient by extra forms, comes from the
-cached ``standard_monomials``: a frame is the quotient by its power
-generators.
+monomial is its exponent tuple, the sorted pairs of ``Monomial.exps``; a
+``Monomial`` is built only where a result leaves the library.  Monomials
+of equal degree are ordered lexicographically ascending on their exponent
+vectors over ascending variable ids (``_order_key``); every basis and
+matrix in the library is emitted in this graded-lex order so outputs are
+stable.  Every basis, of a capped frame or of a quotient by extra forms,
+comes from the cached ``standard_monomials``: a frame is the quotient by
+its power generators.
+
+The matrix builders (span rows, contraction rows, ×f and the symmetry-
+adapted ×L) work on integer codes of monomials (``code``): a product is
+a sum of codes and a quotient a difference looked up in the lower piece,
+through each graded piece's cached coded view (``coded_monomials``).
+``_times`` and ``_over`` walk the exponent tuples for ``Monomial``,
+``contract`` and the divisibility filters.
 """
 
 from __future__ import annotations
@@ -465,13 +471,15 @@ def facet_ideal(cx: SimplicialComplex) -> IdealPresentation:
 class ArtinianFrame:
     """A complex together with exponent caps, presenting the artinian
     quotient whose standard monomials are the cap-bounded face-supported
-    monomials."""
+    monomials.  Caps are integers of at least 2: one for every vertex, a
+    list in vertex order or a dict by vertex; anything else is a
+    ``RangeError``."""
 
     __slots__ = ("complex", "caps", "_hash")
 
     def __init__(self, complex: SimplicialComplex, caps):
         self.complex = complex
-        if isinstance(caps, int):
+        if isinstance(caps, str) or not hasattr(caps, "__iter__"):
             caps = {v: caps for v in complex.vertices}
         elif not isinstance(caps, dict):
             caps = list(caps)
@@ -483,6 +491,9 @@ class ArtinianFrame:
         if set(caps) != set(complex.vertices):
             raise RangeError("caps must cover exactly the vertex set")
         for v, a in caps.items():
+            # the codes of ``coded_monomials`` take their base from the caps
+            if isinstance(a, bool) or not isinstance(a, int):
+                raise RangeError(f"cap {a!r} at vertex {v} is not an integer")
             if a < 2:
                 raise RangeError(f"cap {a} at vertex {v}: caps below 2 kill the variable")
         self.caps = tuple(sorted(caps.items()))
@@ -553,9 +564,13 @@ def standard_monomials(cx: SimplicialComplex, k: int, caps=(), filters=()) -> tu
     Caps and filters that cannot bite in degree k leave the cache key."""
     if k < 0:
         return ()
-    caps = tuple(p for p in caps if p[1] <= k)
-    filters = tuple(sorted({f for f in filters if sum(e for _, e in f) <= k}))
-    return _standard_monomials(cx, k, caps, filters)
+    return _standard_monomials(cx, k, *_biting(k, caps, filters))
+
+
+def _biting(k, caps, filters) -> tuple:
+    """The caps and filters that can bite in degree k, as cache keys."""
+    return (tuple(p for p in caps if p[1] <= k),
+            tuple(sorted({f for f in filters if sum(e for _, e in f) <= k})))
 
 
 @lru_cache(maxsize=2048)
@@ -566,14 +581,77 @@ def _standard_monomials(cx, k, caps: tuple, filters: tuple) -> tuple:
     return tuple(m for m in monos if all(_over(m, f) is None for f in filters))
 
 
-def _products(sources, f: Polynomial, index: dict):
-    """Per source exponent tuple m, the (index[m*t], coefficient) pairs
-    over the terms t of f, each coefficient in ``linalg``'s normal form;
-    distinct terms give distinct products, and products missing from
-    index are zero in the quotient."""
-    terms = tuple((t.exps, linalg._exact(c)) for t, c in f.terms.items())
-    for m in sources:
-        yield [(i, c) for t, c in terms if (i := index.get(_times(m, t))) is not None]
+def code_base(top: int) -> int:
+    """The base of the codes of monomials whose exponents are at most
+    top: the least power of two above it (and at least 2), so that
+    builders with nearby bounds, such as consecutive degrees, share one
+    coded view of a piece."""
+    return 1 << max(top, 1).bit_length()
+
+
+@lru_cache(maxsize=64)
+def exponent_weights(cx: SimplicialComplex, base: int) -> dict:
+    """B^pos(v) per vertex v, pos(v) its index in ``cx.vertices``: the
+    weight of one unit of v's exponent in ``coded_monomials``."""
+    return {v: base ** i for i, v in enumerate(cx.vertices)}
+
+
+def code(exps, weights: dict) -> int:
+    """The code of an exponent tuple under ``exponent_weights``."""
+    out = 0
+    for v, e in exps:
+        out += e * weights[v]
+    return out
+
+
+def coded_terms(cx: SimplicialComplex, f: Polynomial, base: int, scale=1) -> list:
+    """The (code, coefficient) pairs of f's terms, each coefficient times
+    scale in ``linalg``'s normal form."""
+    weights = exponent_weights(cx, base)
+    return [(code(t.exps, weights), linalg._exact(c * scale)) for t, c in f.terms.items()]
+
+
+def coded_monomials(cx: SimplicialComplex, k: int, base: int, caps=(), filters=()) -> dict:
+    """The coded view of the graded piece ``standard_monomials(cx, k,
+    caps, filters)``: a dict from each standard monomial's code to its
+    position, in the same order.  The dict is cached and shared by every
+    caller, so none may change it.
+
+    The code of m is Σ e_v B^pos(v), B = base and pos(v) the index of v
+    in ``cx.vertices`` (never the id, which may be huge).  The caller
+    takes B from ``code_base`` above every exponent of every monomial it
+    codes or forms.  Then a code is the base-B numeral whose digits are
+    m's exponents, so distinct monomials have distinct codes and the
+    digit sum of code(m) is deg m, and:
+
+    Products.  code(m) + code(t) = code(m·t): every exponent of m·t is
+    below B, so no digit carries.
+
+    Quotients.  Let b have degree k and t degree d.  If t divides b,
+    code(b) - code(t) = code(b/t) digit by digit.  If not, some e_v(t) >
+    e_v(b), and the difference is no code of a degree-(k - d) monomial:
+    if it is negative it is no code at all, and otherwise subtracting
+    digit by digit borrows at least once (with no borrow every digit of b
+    would be at least t's).  Summing x_i - y_i - β_i = z_i - B β_{i+1}
+    over the digits, β_i the borrow into digit i (β_0 = 0, and the last
+    borrow out is 0 since x >= y), the digit sum of z = x - y is s(x) -
+    s(y) + (B - 1)·(number of borrows) > k - d.  A quotient b/t of a
+    standard monomial b is standard in degree k - d under the same caps
+    and filters (faces, caps and filters all pass to divisors).  So t
+    divides b exactly when code(b) - code(t) is a code of that lower
+    piece, and then the code is b/t's.
+    """
+    if k < 0:
+        return {}
+    return _coded_monomials(cx, k, *_biting(k, caps, filters), base)
+
+
+# a view is rebuilt from the cached exponent tuples in one pass, and a
+# builder reads at most a few pieces, so only the recent views are kept
+@lru_cache(maxsize=32)
+def _coded_monomials(cx, k, caps: tuple, filters: tuple, base: int) -> dict:
+    weights = exponent_weights(cx, base)
+    return {code(m, weights): j for j, m in enumerate(_standard_monomials(cx, k, caps, filters))}
 
 
 def standard_basis(frame: ArtinianFrame, k: int):
@@ -628,7 +706,12 @@ def multiplication_matrix(frame: ArtinianFrame, f: Polynomial, k: int) -> linalg
 
     Rows are the higher-degree standard monomials, columns the degree-k
     ones, both in graded-lex order.  The transpose represents the
-    contraction action of f on the dual in the same bases.
+    contraction action of f on the dual in the same bases.  Products are
+    sums of codes (``coded_monomials``): standard monomials have
+    exponents below their caps and the terms of f at most deg f, so every
+    exponent coded or formed is at most max cap - 1 + deg f.  Distinct
+    terms give distinct products, and a product missing from the rows is
+    zero in the frame.
     """
     if not f.is_homogeneous():
         raise HomogeneityError("multiplication needs a homogeneous form")
@@ -638,13 +721,15 @@ def multiplication_matrix(frame: ArtinianFrame, f: Polynomial, k: int) -> linalg
     foreign = set(f.variables()) - set(frame.complex.vertices)
     if foreign:
         raise PreconditionError(f"form mentions unknown variables: {sorted(foreign)}")
-    cols = standard_monomials(frame.complex, k, frame.caps)
-    rows = standard_monomials(frame.complex, k + d, frame.caps)
-    index = {m: i for i, m in enumerate(rows)}
+    base = code_base(max(a for _, a in frame.caps) - 1 + d)
+    terms = coded_terms(frame.complex, f, base)
+    cols = coded_monomials(frame.complex, k, base, frame.caps)
+    rows = coded_monomials(frame.complex, k + d, base, frame.caps)
     entries = {}
-    for j, products in enumerate(_products(cols, f, index)):
-        for i, c in products:
-            entries[i, j] = c
+    for m, j in cols.items():
+        for t, c in terms:
+            if (i := rows.get(m + t)) is not None:
+                entries[i, j] = c
     return linalg.ExactMatrix._trusted(len(rows), len(cols), entries)
 
 

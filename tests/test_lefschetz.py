@@ -1117,16 +1117,43 @@ def contraction_matrix_reference(complex_, extra, k):
     return cols, linalg.ExactMatrix(len(row_index), len(cols), entries)
 
 
-class TestContractionMatrixOracle:
-    def test_fixture_sops_match_the_pairwise_loop(self, cx, monkeypatch):
-        """Below the first vanishing degree N the contraction matrix is
-        the pairwise loop's and its kernel the piece.  From N on no matrix
-        is built, and the pairwise loop's matrix has no kernel there:
-        duality is checked exactly where the piece skips it."""
-        built = []
-        kernel_basis = linalg.kernel_basis
-        monkeypatch.setattr(linalg, "kernel_basis", lambda m: built.append(m) or kernel_basis(m))
-        for complex_, extra, degrees in inverse_system_cases(cx):
+def sparse_case(complex_, extra, degrees, rng):
+    """The case with its vertices renamed to ids at and above 2^20, in a
+    random order."""
+    rename = dict(zip(complex_.vertices, rng.sample(range(1 << 20, 1 << 40), len(complex_.vertices))))
+    moved = from_facets([{rename[v] for v in f} for f in complex_.facets])
+    forms = [Polynomial({Monomial({rename[v]: e for v, e in m.exps}): c for m, c in g.terms.items()})
+             for g in extra]
+    return moved, forms, degrees
+
+
+def coded_builder_cases(cx):
+    """Sops with monomial filters and mixed pure-power caps added, and
+    these and ``inverse_system_cases`` again on ids at and above 2^20."""
+    oct_, c4 = cx("OCT"), cx("C4")
+    colored = list(colored_sop(oct_, balanced_coloring(oct_)).theta)
+    cases = [
+        (oct_, colored + [P("x1*x3"), P("x2*x5^2"), P("x4^3")], range(5)),
+        (oct_, [P("x1 + x2"), P("x3^2 - 1/2 x3*x5 + x4^2"), P("x5^3 + 2/3 x1^2*x5 + x6^3"),
+                P("x1^2"), P("x3^3"), P("x6^4"), P("x2*x4")], range(9)),
+        (c4, [P("x1^2 + 3/2 x2^2 - x3*x4 + x4^2"), P("x1^2*x2 + x3^3 - 1/3 x4^3"),
+              P("x1*x2^2"), P("x3^2")], range(8)),
+    ]
+    rng = random.Random(1 << 20)
+    return cases + [sparse_case(*case, rng) for case in inverse_system_cases(cx) + cases]
+
+
+def check_contraction_matrices(cases, monkeypatch):
+    """Below the first vanishing degree N the contraction matrix is the
+    pairwise loop's, entry for entry and in row order, and its kernel the
+    piece.  From N on no matrix is built, and the pairwise loop's matrix
+    has no kernel there: duality is checked exactly where the piece skips
+    it."""
+    built = []
+    kernel_basis = linalg.kernel_basis
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "kernel_basis", lambda m: built.append(m) or kernel_basis(m))
+        for complex_, extra, degrees in cases:
             # the complex's homology and the Hilbert scan come first
             vanishing = lefschetz._first_vanishing(complex_, tuple(extra))[0]
             for k in degrees:
@@ -1146,6 +1173,55 @@ class TestContractionMatrixOracle:
                     Polynomial({cols[j]: c for j, c in enumerate(vec) if c})
                     for vec in kernel_basis(reference).vectors
                 )
+
+
+class TestContractionMatrixOracle:
+    def test_fixture_sops_match_the_pairwise_loop(self, cx, monkeypatch):
+        check_contraction_matrices(inverse_system_cases(cx), monkeypatch)
+
+    def test_filters_mixed_caps_and_sparse_ids(self, cx, monkeypatch):
+        check_contraction_matrices(coded_builder_cases(cx), monkeypatch)
+
+
+def span_rows_reference(complex_, extra, k):
+    """The span matrix of ``_hilbert`` as the tuple-product loop built it:
+    a row per span form g and standard monomial m of degree k - deg g,
+    each product m·t (``_times``) looked up among the standard monomials
+    of degree k, the entries read by the validating constructor."""
+    caps, filters, cols, others = lefschetz._graded_basis(complex_, tuple(extra), k)
+    index = {m: j for j, m in enumerate(cols)}
+    entries = {}
+    i = 0
+    for g in others:
+        for m in standard_monomials(complex_, k - g.degree(), caps, filters):
+            for t, c in g.terms.items():
+                j = index.get(_times(m, t.exps))
+                if j is not None:
+                    entries[i, j] = c
+            i += 1
+    return linalg.ExactMatrix(i, len(cols), entries)
+
+
+class TestSpanRowsOracle:
+    def test_cases_match_the_tuple_products(self, cx, monkeypatch):
+        """The span ``_hilbert`` ranks is the tuple-product loop's, entry
+        for entry, in insertion order and in shape; a span without
+        entries takes no rank."""
+        built = []
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda m: built.append(m) or rank(m))
+        for complex_, extra, degrees in inverse_system_cases(cx) + coded_builder_cases(cx):
+            for k in degrees:
+                built.clear()
+                value = lefschetz._hilbert.__wrapped__(complex_, tuple(extra), k)
+                reference = span_rows_reference(complex_, extra, k)
+                assert value == reference.cols - rank(reference), (complex_, extra, k)
+                if not reference.entries:
+                    assert built == [], (complex_, extra, k)
+                    continue
+                [span] = built
+                assert span == reference, (complex_, extra, k)
+                assert list(span.entries.items()) == list(reference.entries.items())
 
 
 class TestTrustedMatrices:
@@ -1185,10 +1261,24 @@ class TestTrustedMatrices:
 # --- ×L in the symmetry-adapted bases of twin swaps ----------------------------
 
 
+def decode(maps, q):
+    """The exponent tuple of a code of ``maps``: its base-B digits over the
+    vertices of Δ', ascending."""
+    exps = []
+    for v in maps.orbit_frame.complex.vertices:
+        q, e = divmod(q, maps._base)
+        if e:
+            exps.append((v, e))
+    assert q == 0
+    return tuple(exps)
+
+
 def layout(maps, k):
     """Each character filed in degree k mapped to its basis, each
-    representative mapped to its position along the diagonal."""
-    return maps._layout(k)[0]
+    representative, as its exponent tuple, mapped to its position along
+    the diagonal."""
+    return {s: {decode(maps, q): i for q, i in basis.items()}
+            for s, basis in maps._layout(k)[0].items()}
 
 
 def split_blocks(maps, k):
@@ -1657,7 +1747,8 @@ def check_against_filter(frame):
     maps, oracle = IsotypicMaps(frame), FilteredMaps(frame)
     top = frame.socle_degree()
     for k in range(top + 1):
-        assert maps._layout(k) == oracle._layout(k), (frame, k)
+        assert layout(maps, k) == oracle._layout(k)[0], (frame, k)
+        assert maps._layout(k)[1] == oracle._layout(k)[1], (frame, k)
     for k in range(top):
         ours, theirs = maps.matrix(k), oracle.matrix(k)
         assert ours == theirs, (frame, k)
@@ -1703,6 +1794,16 @@ class TestOrbitFrame:
     @given(planted_twins_mixed_caps())
     def test_planted_twins_with_mixed_caps(self, frame):
         check_against_filter(frame)
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_sparse_ids_and_mixed_caps(self, cx, name):
+        rng = random.Random(name)
+        complex_ = cx(name)
+        rename = dict(zip(complex_.vertices,
+                          rng.sample(range(1 << 20, 1 << 40), len(complex_.vertices))))
+        moved = from_facets([{rename[v] for v in f} for f in complex_.facets])
+        for _ in range(3):
+            check_against_filter(ArtinianFrame(moved, {v: rng.randint(2, 4) for v in moved.vertices}))
 
     def test_c4_pairs_every_vertex(self, cx):
         for caps in (2, 3, 4):

@@ -1,11 +1,12 @@
 """Polynomials, contraction, ideals, artinian frames and log matrices."""
 
+import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lefkit import linalg
@@ -21,6 +22,10 @@ from lefkit.complexes import _face_compositions
 from lefkit.monomials import _over, _times
 from lefkit.monomials import (
     ArtinianFrame,
+    code,
+    code_base,
+    coded_monomials,
+    exponent_weights,
     IdealPresentation,
     Monomial,
     Polynomial,
@@ -405,6 +410,15 @@ class TestStandardBasis:
         with pytest.raises(RangeError):
             ArtinianFrame(cx("EDGE"), 1)
 
+    @pytest.mark.parametrize("caps", [
+        2.5, 3.0, "3", True,
+        [2.5] * 4, [3, 3, 3.0, 3], ["3"] * 4, [3, True, 3, 3],
+        {1: 3.0, 2: 3, 3: 3, 4: 3}, {1: "3", 2: 3, 3: 3, 4: 3}, {1: 3, 2: 3, 3: True, 4: 3},
+    ])
+    def test_non_integer_caps_rejected(self, cx, caps):
+        with pytest.raises(RangeError, match="not an integer"):
+            ArtinianFrame(cx("C4"), caps)
+
     def test_positional_caps_length_must_match(self, cx):
         oct_ = cx("OCT")
         with pytest.raises(RangeError):
@@ -551,6 +565,146 @@ class TestMultiplicationMatrix:
             assert size == a - 1
         assert components == e
         assert linalg.rank(m) == m.rows  # surjective
+
+
+def multiplication_matrix_reference(frame, f, k):
+    """×f as the tuple-product loop built it: each product m·t of a
+    standard monomial and a term of f (``_times``) looked up among the
+    standard monomials of degree k + deg f, the entries read by the
+    validating constructor."""
+    cols = standard_monomials(frame.complex, k, frame.caps)
+    rows = standard_monomials(frame.complex, k + f.degree(), frame.caps)
+    index = {m: i for i, m in enumerate(rows)}
+    entries = {}
+    for j, m in enumerate(cols):
+        for t, c in f.terms.items():
+            i = index.get(_times(m, t.exps))
+            if i is not None:
+                entries[i, j] = c
+    return linalg.ExactMatrix(len(rows), len(cols), entries)
+
+
+def sparse_renaming(complex_, rng):
+    """A renaming of the complex's vertices to ids at and above 2^20, in
+    a random order."""
+    vs = complex_.vertices
+    return dict(zip(vs, rng.sample(range(1 << 20, 1 << 40), len(vs))))
+
+
+def frame_forms(frame, vs):
+    """×L, a constant, a rational linear form and a rational quadratic
+    with squares, over the vertices vs of the frame."""
+    return [
+        frame.linear_form(),
+        Polynomial.constant(3),
+        Polynomial({Monomial({vs[0]: 1}): Fraction(1, 2), Monomial({vs[-1]: 1}): -3}),
+        Polynomial({Monomial({vs[0]: 1, vs[1]: 1}): Fraction(2, 3), Monomial({vs[1]: 2}): 4,
+                    Monomial({vs[-1]: 2}): -1}),
+    ]
+
+
+class TestMultiplicationMatrixOracle:
+    """``multiplication_matrix`` on coded pieces against the tuple-product
+    loop, entry for entry, in insertion order and in shape."""
+
+    @staticmethod
+    def check(frame, forms):
+        for f in forms:
+            for k in range(frame.socle_degree() + 1):
+                got, want = multiplication_matrix(frame, f, k), multiplication_matrix_reference(frame, f, k)
+                assert got == want, (frame, f, k)
+                assert list(got.entries.items()) == list(want.entries.items()), (frame, f, k)
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    @pytest.mark.parametrize("caps", [2, 3])
+    def test_fixtures(self, cx, name, caps):
+        frame = ArtinianFrame(cx(name), caps)
+        self.check(frame, frame_forms(frame, frame.complex.vertices))
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_sparse_ids_and_mixed_caps(self, cx, name):
+        rng = random.Random(name)
+        complex_ = cx(name)
+        rename = sparse_renaming(complex_, rng)
+        moved = from_facets([{rename[v] for v in f} for f in complex_.facets])
+        frame = ArtinianFrame(moved, {v: rng.randint(2, 4) for v in moved.vertices})
+        self.check(frame, frame_forms(frame, [rename[v] for v in complex_.vertices]))
+
+
+def digits(n, vertices, base):
+    """The exponent tuple whose code is n: n's base-B digits over the
+    vertices, ascending (the inverse of ``code``)."""
+    exps = []
+    for v in vertices:
+        n, e = divmod(n, base)
+        if e:
+            exps.append((v, e))
+    assert n == 0
+    return tuple(exps)
+
+
+# exponent maps over a few ids, some of them at and above 2^20
+sparse_exponent_maps = st.dictionaries(
+    st.sampled_from([1, 2, 5, 9, 1 << 20, (1 << 20) + 3, 1 << 40]), st.integers(0, 5), max_size=4)
+SPARSE_POINTS = from_facets([{1, 2, 5, 9, 1 << 20}, {(1 << 20) + 3, 1 << 40}])
+SPARSE_SIMPLEX = from_facets([{1, 2, 5, 9, 1 << 20, (1 << 20) + 3, 1 << 40}])
+
+
+class TestCodes:
+    """Codes add like products and subtract like quotients."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sparse_exponent_maps, sparse_exponent_maps)
+    @example({}, {})
+    @example({1: 5}, {1: 5})  # the largest exponent is a power of two
+    @example({1 << 40: 3}, {1 << 40: 4, 1: 1})
+    def test_sums_agree_with_times(self, a, b):
+        x, y = exps_of(a), exps_of(b)
+        product_ = _times(x, y)
+        base = code_base(max((e for _, e in product_), default=0))
+        weights = exponent_weights(SPARSE_POINTS, base)
+        total = code(x, weights) + code(y, weights)
+        assert total == code(product_, weights)
+        assert digits(total, SPARSE_POINTS.vertices, base) == product_
+
+    @settings(max_examples=400, deadline=None)
+    @given(sparse_exponent_maps, sparse_exponent_maps)
+    @example({1: 2}, {1: 2})
+    @example({1: 1, 2: 2}, {1: 2})  # an exponent too small: the digit borrows
+    @example({2: 4}, {1: 1, 2: 3})
+    @example({1 << 40: 1}, {(1 << 20) + 3: 1})
+    def test_differences_agree_with_over(self, a, b):
+        """``None`` from ``_over`` exactly when the difference is no code of
+        the lower piece: every monomial of degree deg a - deg b, since the
+        simplex has every monomial as a face monomial."""
+        x, y = exps_of(a), exps_of(b)
+        d = sum(a.values()) - sum(b.values())
+        assume(d >= 0)
+        base = code_base(max((e for _, e in x + y), default=0))
+        weights = exponent_weights(SPARSE_SIMPLEX, base)
+        lower = coded_monomials(SPARSE_SIMPLEX, d, base)
+        quotient = _over(x, y)
+        difference = code(x, weights) - code(y, weights)
+        assert (difference in lower) == (quotient is not None)
+        if quotient is not None:
+            assert difference == code(quotient, weights)
+            assert standard_monomials(SPARSE_SIMPLEX, d)[lower[difference]] == quotient
+
+    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+    def test_views_follow_the_standard_monomials(self, cx, name):
+        frame = ArtinianFrame(cx(name), {v: 2 + v % 3 for v in cx(name).vertices})
+        for k in range(frame.socle_degree() + 2):
+            for base in (code_base(k), code_base(4)):
+                monos = standard_monomials(frame.complex, k, frame.caps)
+                view = coded_monomials(frame.complex, k, base, frame.caps)
+                assert list(view.values()) == list(range(len(monos)))
+                assert [digits(q, frame.complex.vertices, base) for q in view] == list(monos)
+
+    def test_base_is_above_the_top_exponent(self):
+        for top in range(70):
+            base = code_base(top)
+            assert base > max(top, 1) and base & (base - 1) == 0
+            assert base <= 2 * max(top, 1)
 
 
 class TestLogMatrix:

@@ -3,8 +3,10 @@ combinatorial primitives.
 
 A complex is stored by its inclusion-maximal facets over integer vertex
 ids.  All operations are pure and complexes are immutable, so values can
-be shared freely.  Homology is computed over the rationals throughout;
-this pins characteristic zero for every downstream Lefschetz statement.
+be shared freely.  Homology is rational throughout, which pins
+characteristic zero for every downstream Lefschetz statement: Betti
+numbers over GF(2) stand for the rational ones only where the Euler
+characteristic certifies them (``_reduced_betti``).
 The one ridge map (``_ridges``), the one breadth-first search
 (``_reachable``) and the face compositions behind face monomials and
 hesd lattice points (``_face_compositions``) live here.
@@ -64,6 +66,21 @@ class SimplicialComplex:
         self.name = name
         self.meta = dict(meta) if meta else {}
         self._hash = hash((self.vertices, self.facets))
+
+    @classmethod
+    def _trusted(cls, facets) -> "SimplicialComplex":
+        """A complex over facets the library derived itself, already
+        distinct, inclusion-maximal and in the constructor's sorted order,
+        skipping the constructor's checks: a link's sets f - σ over the
+        facets f ⊇ σ in order (see ``link``)."""
+        cx = object.__new__(cls)
+        cx.facets = tuple(facets)
+        cx.vertices = tuple(sorted(frozenset().union(*cx.facets)))
+        cx.labels = None
+        cx.name = ""
+        cx.meta = {}
+        cx._hash = hash((cx.vertices, cx.facets))
+        return cx
 
     @property
     def dim(self) -> int:
@@ -156,6 +173,8 @@ class HomologyReport:
     top_cycle: Optional[tuple] = None
 
     def rank(self, i: int) -> int:
+        if not -1 <= i <= len(self.ranks) - 2:
+            raise DimensionError(f"no homology in degree {i} of a {len(self.ranks) - 2}-complex")
         return self.ranks[i + 1]
 
 
@@ -285,12 +304,16 @@ def fh_profile(cx: SimplicialComplex) -> FHProfile:
 
 
 def link(cx: SimplicialComplex, sigma) -> SimplicialComplex:
-    """Link of a face, presented by its maximal elements."""
+    """Link of a face, presented by its maximal elements.
+
+    The sets f - σ over the facets f ⊇ σ are distinct and maximal (f - σ ⊂
+    g - σ would give f ⊂ g), and removing σ from two sorted facets that
+    hold it keeps their order, so the link is built trusted."""
     s = frozenset(sigma)
     rest = [f - s for f in cx.facets if s <= f]
     if not rest:
         raise NotAFace(f"{sorted(s)} is not a face")
-    return SimplicialComplex(rest)
+    return SimplicialComplex._trusted(rest)
 
 
 def boundary_matrix(cx: SimplicialComplex, k: int) -> linalg.ExactMatrix:
@@ -309,40 +332,82 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> linalg.ExactMatrix:
     return linalg.ExactMatrix(len(lo), len(hi), entries)
 
 
+def _reduced_betti(cx: SimplicialComplex) -> tuple:
+    """Reduced rational Betti numbers, indexed -1..dim, certified over GF(2).
+
+    Each boundary map is ranked over GF(2) on ``int`` bitmask columns.
+    That rank is at most the rational one, so each rational Betti number
+    is at most its GF(2) one, and both alternate in sum to the reduced
+    Euler characteristic Σ (-1)^i f_i.  So when the GF(2) numbers vanish
+    outside one degree, the rational ones vanish there too and equal them
+    in it.  Otherwise (RP², the torus) every boundary map is ranked
+    exactly."""
+    d = cx.dim
+    levels = [set() for _ in range(d + 2)]  # faces as sorted tuples, by size
+    for f in cx.facets:
+        vs = sorted(f)
+        for k in range(len(vs) + 1):
+            levels[k].update(combinations(vs, k))
+    counts = [len(level) for level in levels]
+    ranks = [0] * (d + 3)  # ranks[k]: the boundary map on the faces of size k
+    for k in range(1, d + 2):
+        bit = {t: 1 << i for i, t in enumerate(levels[k - 1])}
+        ranks[k] = linalg._rank_gf2(
+            sum(map(bit.__getitem__, combinations(t, k - 1))) for t in levels[k]
+        )
+    betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(d + 2)]
+    if sum(map(bool, betti)) <= 1:
+        return tuple(betti)
+    ranks[1:d + 2] = [linalg.rank(boundary_matrix(cx, k)) for k in range(d + 1)]
+    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(d + 2))
+
+
 @lru_cache(maxsize=1024)
 def homology(cx: SimplicialComplex) -> HomologyReport:
-    """Reduced rational homology from exact boundary matrices.
-
-    The top map is eliminated once: its kernel gives both its rank and,
-    when the top homology has rank one, the top cycle.  A complex whose
-    facets share a vertex is a cone, which is contractible, so its reduced
-    homology vanishes and nothing is eliminated; the void complex {∅} has
-    no vertex to share."""
+    """Reduced rational homology: the Betti numbers of ``_reduced_betti``
+    and, when the top homology has rank one, the top cycle, the exact
+    kernel vector of the top boundary map.  A complex whose facets share a
+    vertex is a cone, which is contractible, so its reduced homology
+    vanishes and nothing is computed; the void complex {∅} has no vertex
+    to share."""
     d = cx.dim
     if frozenset.intersection(*cx.facets):
         return HomologyReport((0,) * (d + 2))
-    counts = {k: len(faces(cx, k)) for k in range(-1, d + 1)}
-    top = linalg.kernel_basis(boundary_matrix(cx, d))
-    bnd_rank = {k: linalg.rank(boundary_matrix(cx, k)) for k in range(d)}
-    bnd_rank[-1] = 0
-    bnd_rank[d] = counts[d] - top.dimension
-    bnd_rank[d + 1] = 0
-    ranks = []
-    for i in range(-1, d + 1):
-        kernel_dim = counts[i] - bnd_rank[i]
-        ranks.append(kernel_dim - bnd_rank[i + 1])
-    top_cycle = top.vectors[0] if ranks[-1] == 1 else None
-    return HomologyReport(tuple(ranks), top_cycle)
+    ranks = _reduced_betti(cx)
+    top_cycle = None
+    if ranks[-1] == 1:
+        top_cycle = linalg.kernel_basis(boundary_matrix(cx, d)).vectors[0]
+    return HomologyReport(ranks, top_cycle)
+
+
+def _links(cx: SimplicialComplex):
+    """Each face σ in the order of ``_all_faces`` with its link, or with
+    None where the link is a cone: the facets through σ share a vertex
+    outside σ.  A cone is acyclic, so it is never a Reisner witness and
+    never a homology sphere, and it is not built."""
+    for sigma in _all_faces(cx):
+        star = [f for f in cx.facets if sigma <= f]
+        if len(frozenset.intersection(*star)) > len(sigma):
+            yield sigma, None
+        else:
+            yield sigma, SimplicialComplex._trusted([f - sigma for f in star])
 
 
 @lru_cache(maxsize=64)
 def is_cohen_macaulay(cx: SimplicialComplex) -> CMReport:
-    """Reisner's criterion: links have no reduced homology below top dimension."""
-    for sigma in _all_faces(cx):
-        lk = link(cx, sigma)
-        rep = homology(lk)
-        for i in range(-1, lk.dim):
-            if rep.rank(i) != 0:
+    """Reisner's criterion: links have no reduced homology below top dimension.
+
+    The scan stops at the faces σ with |σ| ≥ dim: their links have
+    dimension at most 0, and a nonempty complex has no reduced homology
+    in degree -1."""
+    d = cx.dim
+    for sigma, lk in _links(cx):
+        if len(sigma) >= d:
+            break
+        if lk is None:
+            continue
+        for i, b in enumerate(_reduced_betti(lk)[:-1], -1):
+            if b:
                 return CMReport(False, sigma, i)
     return CMReport(True)
 
@@ -423,13 +488,12 @@ def pseudomanifold_status(cx: SimplicialComplex) -> PseudomanifoldStatus:
 @lru_cache(maxsize=64)
 def is_homology_sphere(cx: SimplicialComplex) -> bool:
     """True when every link has the rational homology of a sphere of its dimension."""
-    for sigma in _all_faces(cx):
-        lk = link(cx, sigma)
-        rep = homology(lk)
-        for i in range(-1, lk.dim + 1):
-            expected = 1 if i == lk.dim else 0
-            if rep.rank(i) != expected:
-                return False
+    for _, lk in _links(cx):
+        if lk is None:
+            return False
+        *below, top = _reduced_betti(lk)
+        if top != 1 or any(below):
+            return False
     return True
 
 

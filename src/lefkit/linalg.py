@@ -13,6 +13,9 @@ of (row count, column) finds that column without scanning all of them.
 ``rank_mod_p`` runs the same elimination loop on the same integer rows
 reduced mod p.  It is a screening heuristic only: it is guaranteed to be
 a lower bound on the rational rank and must never substitute for it.
+``_rank_gf2`` ranks bitmask columns over GF(2), also a lower bound only;
+``complexes`` reads exact Betti numbers from it where the Euler
+characteristic closes the gap.
 """
 
 from __future__ import annotations
@@ -356,6 +359,25 @@ def kernel_basis(matrix: ExactMatrix) -> KernelBasis:
             g = -g
         vectors.append(tuple(v // g for v in vec))
     return KernelBasis(tuple(vectors), matrix.cols)
+
+
+def _rank_gf2(columns) -> int:
+    """Rank over GF(2) of columns given as ``int`` bitmasks over the rows.
+
+    Each column is reduced by XOR against the kept pivots, keyed by their
+    lowest set bit, until it vanishes or brings a new lowest bit.  For an
+    integer matrix read mod 2 this is a lower bound on the rational rank
+    only (a minor odd over the integers is nonzero), never a substitute.
+    """
+    pivots = {}
+    for col in columns:
+        while col:
+            low = col & -col
+            if low not in pivots:
+                pivots[low] = col
+                break
+            col ^= pivots[low]
+    return len(pivots)
 
 
 def _is_prime(n: int) -> bool:

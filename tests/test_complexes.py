@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from lefkit.complexes import (
     CollapseCertificate,
     HomologyReport,
+    _reduced_betti,
     _ridge_pairs,
     _ridges,
     SimplicialComplex,
@@ -199,7 +200,8 @@ class TestLinkOracle:
     def test_every_face_and_a_non_face(self, facets):
         complex_ = from_facets(facets)
         for sigma in complex_.all_faces():
-            assert link(complex_, sigma) == reference_link(complex_, sigma)
+            got, expected = link(complex_, sigma), reference_link(complex_, sigma)
+            assert got == expected and hash(got) == hash(expected)
         non_face = frozenset(complex_.vertices) | {99}
         with pytest.raises(NotAFace):
             reference_link(complex_, non_face)
@@ -224,6 +226,13 @@ class TestHomology:
     def test_two_points(self):
         rep = homology(from_facets([{1}, {2}]))
         assert rep.ranks == (0, 1)
+
+    def test_rank_refuses_degrees_outside_the_complex(self, cx):
+        rep = homology(cx("OCT"))
+        assert (rep.rank(-1), rep.rank(2)) == (0, 1)
+        for i in (-2, 3):
+            with pytest.raises(DimensionError):
+                rep.rank(i)
 
     @pytest.mark.parametrize("name", ["OCT", "FAN4", "DUNCE", "C4"])
     def test_relabel_invariance(self, cx, name):
@@ -695,6 +704,7 @@ class TestAgainstReplacedCode:
     def test_ranks_match_every_boundary_rank(self, complex_):
         d = complex_.dim
         expected = every_boundary_rank(complex_)
+        assert _reduced_betti(complex_) == expected
         rep = homology(complex_)
         assert rep.ranks == expected
         assert (rep.top_cycle is not None) == (expected[-1] == 1)
@@ -709,7 +719,7 @@ class TestAgainstReplacedCode:
         # the apex joins every facet, or replaces a vertex it already was
         complex_ = from_facets([f | {apex} for f in base.facets])
         expected = every_boundary_rank(complex_)
-        assert expected == (0,) * (complex_.dim + 2)
+        assert expected == (0,) * (complex_.dim + 2) == _reduced_betti(complex_)
         assert homology.__wrapped__(complex_) == HomologyReport(expected, None)
 
     def test_cones_eliminate_nothing(self, monkeypatch):
@@ -781,3 +791,101 @@ class TestCombinatorialScale:
         rho = balanced_coloring(from_facets([{i, i + 1} for i in range(1, 1500)]))
         assert rho.k == 2
         assert [rho.assignment[v] for v in (1, 2, 3, 1500)] == [1, 2, 1, 2]
+
+
+def relabelled(facets, rng):
+    verts = sorted(set().union(*facets))
+    relabel = dict(zip(verts, rng.sample(range(1, 5 * len(verts) + 20), len(verts))))
+    return from_facets([{relabel[v] for v in f} for f in facets])
+
+
+def reference_cohen_macaulay(cx):
+    """Reisner's scan the replaced way: every face's link, every boundary
+    map ranked exactly."""
+    for sigma in cx.all_faces():
+        lk = link(cx, sigma)
+        ranks = every_boundary_rank(lk)
+        for i in range(-1, lk.dim):
+            if ranks[i + 1]:
+                return (False, sigma, i)
+    return (True, None, None)
+
+
+def reference_homology_sphere(cx):
+    for sigma in cx.all_faces():
+        lk = link(cx, sigma)
+        if every_boundary_rank(lk) != (0,) * (lk.dim + 1) + (1,):
+            return False
+    return True
+
+
+def check_scans(cx):
+    cm = is_cohen_macaulay.__wrapped__(cx)
+    assert (cm.holds, cm.witness_face, cm.witness_index) == reference_cohen_macaulay(cx)
+    assert is_homology_sphere.__wrapped__(cx) == reference_homology_sphere(cx)
+
+
+BOWTIE = [{1, 2, 3}, {1, 4, 5}]
+XPOLY5 = [set(c) for c in product(*[(2 * i + 1, 2 * i + 2) for i in range(5)])]
+BUILT = {"XPOLY5": XPOLY5, "CONE5": [f | {11} for f in XPOLY5]}
+
+
+class TestCertifiedTopology:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(CLOSED)), st.randoms(use_true_random=False))
+    def test_relabelled_closed_complexes(self, name, rng):
+        complex_ = relabelled(CLOSED[name], rng)
+        assert _reduced_betti(complex_) == every_boundary_rank(complex_)
+
+    @pytest.mark.parametrize("name, ranks", [
+        ("RP2", (0, 0, 0, 0)),
+        ("TORUS7", (0, 0, 2, 1)),
+        ("S3", (0, 0, 0, 0, 1)),
+        ("C5", (0, 0, 1)),
+    ])
+    def test_two_gf2_degrees_take_the_exact_path(self, monkeypatch, name, ranks):
+        # over GF(2) both RP² and the torus have homology in degrees 1 and
+        # 2, so neither is certified; the spheres are
+        calls = []
+        exact = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or exact(m))
+        complex_ = from_facets(CLOSED[name])
+        assert _reduced_betti(complex_) == ranks
+        assert len(calls) == (complex_.dim + 1 if name in ("RP2", "TORUS7") else 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ridge_complexes(), st.booleans())
+    @example(from_facets(BOWTIE), False)
+    @example(from_facets([{1, 2}, {3, 4}]), True)
+    def test_scans_match_the_reference_scan(self, complex_, cone):
+        if cone:
+            complex_ = from_facets([f | {99} for f in complex_.facets])
+        check_scans(complex_)
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_scans_on_fixtures_and_their_cones(self, cx, name):
+        check_scans(cx(name))
+        check_scans(from_facets([f | {999} for f in cx(name).facets]))
+
+    @pytest.mark.parametrize("name", sorted(CLOSED))
+    def test_scans_on_relabelled_closed_complexes(self, name):
+        check_scans(relabelled(CLOSED[name], random.Random(name)))
+
+    def test_bowtie_witness_is_a_vertex(self):
+        # |σ| = dim - 1: the vertex link is two disjoint edges
+        rep = is_cohen_macaulay.__wrapped__(from_facets(BOWTIE))
+        assert (rep.holds, rep.witness_face, rep.witness_index) == (False, frozenset({1}), 0)
+
+    @pytest.mark.parametrize("name, cm, sphere", [
+        ("OCT", True, True), ("CROSS4", True, True), ("BALL10", True, False),
+        ("XPOLY5", True, True), ("CONE5", True, False),
+    ])
+    def test_scans_eliminate_nothing(self, monkeypatch, cx, name, cm, sphere):
+        def refuse(_):
+            raise AssertionError("certified ranks need no elimination")
+
+        complex_ = from_facets(BUILT[name]) if name in BUILT else cx(name)
+        monkeypatch.setattr(linalg, "rank", refuse)
+        monkeypatch.setattr(linalg, "kernel_basis", refuse)
+        assert is_cohen_macaulay.__wrapped__(complex_).holds is cm
+        assert is_homology_sphere.__wrapped__(complex_) is sphere

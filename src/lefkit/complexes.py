@@ -333,15 +333,18 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> linalg.ExactMatrix:
 
 
 def _reduced_betti(cx: SimplicialComplex) -> tuple:
-    """Reduced rational Betti numbers, indexed -1..dim, certified over GF(2).
+    """Reduced rational Betti numbers, indexed -1..dim, certified over
+    GF(2), and the top boundary map's kernel basis where it was taken.
 
     Each boundary map is ranked over GF(2) on ``int`` bitmask columns.
     That rank is at most the rational one, so each rational Betti number
     is at most its GF(2) one, and both alternate in sum to the reduced
     Euler characteristic Σ (-1)^i f_i.  So when the GF(2) numbers vanish
     outside one degree, the rational ones vanish there too and equal them
-    in it.  Otherwise (RP², the torus) every boundary map is ranked
-    exactly."""
+    in it, and no kernel is taken (None).  Otherwise (RP², the torus)
+    every boundary map is ranked exactly, the top one by its kernel basis:
+    its rank is its number of columns less the kernel's dimension, and
+    ``homology`` reads the top cycle from that basis."""
     d = cx.dim
     levels = [set() for _ in range(d + 2)]  # faces as sorted tuples, by size
     for f in cx.facets:
@@ -357,26 +360,36 @@ def _reduced_betti(cx: SimplicialComplex) -> tuple:
         )
     betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(d + 2)]
     if sum(map(bool, betti)) <= 1:
-        return tuple(betti)
-    ranks[1:d + 2] = [linalg.rank(boundary_matrix(cx, k)) for k in range(d + 1)]
-    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(d + 2))
+        return tuple(betti), None
+    ranks[1:d + 1] = [linalg.rank(boundary_matrix(cx, k)) for k in range(d)]
+    top = linalg.kernel_basis(boundary_matrix(cx, d)).vectors
+    ranks[d + 1] = counts[d + 1] - len(top)
+    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(d + 2)), top
+
+
+@lru_cache(maxsize=64)
+def _betti(cx: SimplicialComplex) -> tuple:
+    """``_reduced_betti`` of a whole complex, which ``homology`` and the
+    σ = ∅ step of both link scans read.  Links are not kept: each is
+    asked for once, and keeping them costs memory."""
+    return _reduced_betti(cx)
 
 
 @lru_cache(maxsize=1024)
 def homology(cx: SimplicialComplex) -> HomologyReport:
     """Reduced rational homology: the Betti numbers of ``_reduced_betti``
     and, when the top homology has rank one, the top cycle, the exact
-    kernel vector of the top boundary map.  A complex whose facets share a
-    vertex is a cone, which is contractible, so its reduced homology
-    vanishes and nothing is computed; the void complex {∅} has no vertex
-    to share."""
+    kernel vector of the top boundary map (the kernel the exact path
+    took, if it took one).  A complex whose facets share a vertex is a
+    cone, which is contractible, so its reduced homology vanishes and
+    nothing is computed; the void complex {∅} has no vertex to share."""
     d = cx.dim
     if frozenset.intersection(*cx.facets):
         return HomologyReport((0,) * (d + 2))
-    ranks = _reduced_betti(cx)
+    ranks, top = _betti(cx)
     top_cycle = None
     if ranks[-1] == 1:
-        top_cycle = linalg.kernel_basis(boundary_matrix(cx, d)).vectors[0]
+        top_cycle = (top or linalg.kernel_basis(boundary_matrix(cx, d)).vectors)[0]
     return HomologyReport(ranks, top_cycle)
 
 
@@ -406,7 +419,7 @@ def is_cohen_macaulay(cx: SimplicialComplex) -> CMReport:
             break
         if lk is None:
             continue
-        for i, b in enumerate(_reduced_betti(lk)[:-1], -1):
+        for i, b in enumerate((_reduced_betti if sigma else _betti)(lk)[0][:-1], -1):
             if b:
                 return CMReport(False, sigma, i)
     return CMReport(True)
@@ -488,10 +501,10 @@ def pseudomanifold_status(cx: SimplicialComplex) -> PseudomanifoldStatus:
 @lru_cache(maxsize=64)
 def is_homology_sphere(cx: SimplicialComplex) -> bool:
     """True when every link has the rational homology of a sphere of its dimension."""
-    for _, lk in _links(cx):
+    for sigma, lk in _links(cx):
         if lk is None:
             return False
-        *below, top = _reduced_betti(lk)
+        *below, top = (_reduced_betti if sigma else _betti)(lk)[0]
         if top != 1 or any(below):
             return False
     return True

@@ -9,7 +9,9 @@ coordinates.  Monomial generators fold into exponent caps and
 divisibility filters that pick the basis from
 ``monomials.standard_monomials``, as a capped frame's caps do; only the
 other forms become span rows.  A pure power of every vertex bounds the
-vanishing degree by that frame's socle degree + 1.
+vanishing degree by that frame's socle degree + 1.  Each (complex,
+forms) pair is validated and folded once, into one prepared quotient
+(``_quotient``) that every query of it starts from.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -47,9 +49,10 @@ from .monomials import (
     ArtinianFrame,
     Monomial,
     Polynomial,
+    _coded_monomials,
+    _standard_monomials,
     code,
     code_base,
-    coded_monomials,
     coded_terms,
     contract,
     differentiate,
@@ -194,43 +197,119 @@ def _fold(extra):
     return tuple(sorted(caps.items())), filters, others
 
 
-def _graded_basis(cx, extra, k):
-    """Caps, filters, standard monomials and span forms of the quotient by
-    extra in degree k, folded from the generators of degree <= k."""
-    caps, filters, others = _fold(g for g in extra if g.degree() <= k)
-    return caps, filters, standard_monomials(cx, k, caps, filters), others
+@lru_cache(maxsize=256)
+def _quotient(cx, extra: tuple) -> "_Quotient":
+    """The prepared quotient by extra.  The forms are validated before it
+    is built, so a refused pair raises on every call and is never kept."""
+    _validate_extra(cx, extra)
+    return _Quotient(cx, extra)
+
+
+class _Quotient:
+    """The graded quotient A of K[Δ] by extra forms, prepared once per
+    (complex, forms) pair (``_quotient``) for every degree asked of it.
+
+    It keeps, per degree k, the fold of the generators of degree <= k:
+    caps and filters in the normal form of ``monomials._biting`` (the
+    generators of degree <= k are exactly those that can bite in degree
+    k, so the fold of degree k is the cache key of the degree-k piece),
+    and the span forms.  It keeps each span form's coded terms per code
+    base, the sop values (``_sop_values``) and the first vanishing degree.
+    It keeps no span or contraction rows, which cost memory, and no
+    membership form: a kept g would stay alive with it.
+    """
+
+    def __init__(self, cx, extra: tuple):
+        self.cx, self.extra = cx, extra
+        self._top = max((g.degree() for g in extra), default=0)
+        self._folds = {}  # degree up to the top one -> (caps, filters, span forms)
+        self._codes = {}  # code base -> {span form: coded terms}
+
+    def fold(self, k: int) -> tuple:
+        """Caps, filters and span forms of the generators of degree <= k.
+        Every degree from the forms' top one on has the same fold, so at
+        most top + 1 folds are kept."""
+        k = min(k, self._top)
+        out = self._folds.get(k)
+        if out is None:
+            caps, filters, others = _fold(g for g in self.extra if g.degree() <= k)
+            out = self._folds[k] = (caps, tuple(sorted(set(filters))), tuple(others))
+        return out
+
+    def coded(self, k: int, base: int) -> dict:
+        """The coded view of the degree-k standard monomials
+        (``coded_monomials``), read by the fold's keys."""
+        caps, filters, _ = self.fold(k)
+        return _coded_monomials(self.cx, k, caps, filters, base)
+
+    def terms(self, g, base: int) -> list:
+        """The coded terms of the span form g under base, coded once."""
+        codes = self._codes.setdefault(base, {})
+        if (out := codes.get(g)) is None:
+            out = codes[g] = coded_terms(self.cx, g, base)
+        return out
+
+    def dimension(self, k: int) -> int:
+        """Degree-k dimension, k >= 0: the standard monomials minus the
+        rank of the span of the span forms.
+
+        The span has a row m·g per form g and standard monomial m of degree
+        k - deg g, with g's coefficient of t in the column of m·t.  The
+        products are sums of codes (``coded_monomials``) with exponents up
+        to k: no monomial coded or formed has a larger degree.  Distinct
+        terms give distinct products, and a product missing from the columns
+        is zero in the quotient.
+        """
+        base = code_base(k)
+        index = self.coded(k, base)
+        entries = {}
+        i = 0
+        for g in self.fold(k)[2]:
+            terms = self.terms(g, base)
+            for m in self.coded(k - g.degree(), base):
+                for t, c in terms:
+                    if (j := index.get(m + t)) is not None:
+                        entries[i, j] = c
+                i += 1
+        span = linalg.ExactMatrix._trusted(i, len(index), entries)
+        return len(index) - (linalg.rank(span) if span.entries else 0)
+
+    @cached_property
+    def sop_values(self) -> Optional[tuple]:
+        return _sop_values(self.cx, self.extra)
+
+    def value(self, k: int) -> int:
+        """The degree-k dimension, k >= 0: from the sop values where they
+        decide, else one ``_hilbert`` rank."""
+        values = self.sop_values
+        if values is None:
+            return _hilbert(self.cx, self.extra, k)
+        return values[k] if k < len(values) else 0
+
+    @cached_property
+    def vanishing(self) -> tuple:
+        """First degree where the quotient Hilbert function vanishes, with
+        the values up to it: the sop values of a sop of a Cohen-Macaulay
+        complex, and otherwise scanned up to the vanishing bound; None if
+        it stays positive that far."""
+        values = self.sop_values
+        if values is not None:
+            return len(values) - 1, values
+        values = []
+        for k in range(_vanishing_bound(self.cx, self.extra) + 1):
+            values.append(_hilbert(self.cx, self.extra, k))
+            if values[-1] == 0:
+                return k, tuple(values)
+        return None, tuple(values)
 
 
 @lru_cache(maxsize=1024)
 def _hilbert(cx, extra: tuple, k: int) -> int:
-    """Degree-k dimension of the quotient by extra: the standard monomials
-    minus the rank of the span of the other generators.
-
-    The span has a row m·g per form g and standard monomial m of degree
-    k - deg g, with g's coefficient of t in the column of m·t.  The
-    products are sums of codes (``coded_monomials``) with exponents up
-    to k: no monomial coded or formed has a larger degree.  Distinct
-    terms give distinct products, and a product missing from the columns
-    is zero in the quotient.
-
-    Only the value is memoised: vanishing scans, inverse-system pieces and
-    membership tests ask for the same degrees over and over, and an int
-    costs next to nothing to keep, where span rows would not.
-    """
-    caps, filters, cols, others = _graded_basis(cx, extra, k)
-    base = code_base(k)
-    index = coded_monomials(cx, k, base, caps, filters)
-    entries = {}
-    i = 0
-    for g in others:
-        terms = coded_terms(cx, g, base)
-        for m in coded_monomials(cx, k - g.degree(), base, caps, filters):
-            for t, c in terms:
-                if (j := index.get(m + t)) is not None:
-                    entries[i, j] = c
-            i += 1
-    span = linalg.ExactMatrix._trusted(i, len(cols), entries)
-    return len(cols) - (linalg.rank(span) if span.entries else 0)
+    """``_Quotient.dimension`` of the quotient by extra.  Only the value is
+    memoised: vanishing scans, inverse-system pieces and membership tests
+    ask for the same degrees over and over, and an int costs next to
+    nothing to keep, where span rows would not."""
+    return _quotient(cx, extra).dimension(k)
 
 
 def quotient_hilbert(cx: SimplicialComplex, extra, k: int) -> int:
@@ -241,15 +320,14 @@ def quotient_hilbert(cx: SimplicialComplex, extra, k: int) -> int:
     ``_sop_values``.  Input of that shape that is no sop, with a form of
     degree 2 or more, pays the one rank ``_sop_values`` takes at the
     vanishing bound before the degree-k rank."""
-    _validate_extra(cx, extra)
-    return _value(cx, tuple(extra), k) if k >= 0 else 0
+    q = _quotient(cx, tuple(extra))
+    return q.value(k) if k >= 0 else 0
 
 
-@lru_cache(maxsize=256)
 def _sop_values(cx, extra: tuple) -> Optional[tuple]:
     """The quotient Hilbert function by extra in degrees 0 to its first
     vanishing degree, when extra is a sop of a Cohen-Macaulay complex;
-    None when the scan has to decide.
+    None when the scan has to decide.  ``_Quotient.sop_values`` keeps it.
 
     Shape.  Only a Cohen-Macaulay Δ of dimension d with exactly d + 1
     forms, each nonzero and of positive degree e_i, is decided here.  The
@@ -301,15 +379,6 @@ def _sop_values(cx, extra: tuple) -> Optional[tuple]:
     return tuple(values) + (0,)
 
 
-def _value(cx, extra: tuple, k: int) -> int:
-    """The degree-k quotient dimension, k >= 0: from ``_sop_values`` where
-    it decides, else one ``_hilbert`` rank."""
-    values = _sop_values(cx, extra)
-    if values is None:
-        return _hilbert(cx, extra, k)
-    return values[k] if k < len(values) else 0
-
-
 def _vanishing_bound(cx, extra):
     """A degree where the quotient by extra vanishes if it is artinian.
 
@@ -335,23 +404,6 @@ def _vanishing_bound(cx, extra):
     )
 
 
-def _first_vanishing(cx, extra: tuple):
-    """First degree where the quotient Hilbert function vanishes, with the
-    values up to it: read from ``_sop_values`` for a sop of a
-    Cohen-Macaulay complex, and otherwise scanned up to the vanishing
-    bound; None if it stays positive that far."""
-    _validate_extra(cx, extra)
-    values = _sop_values(cx, extra)
-    if values is not None:
-        return len(values) - 1, values
-    values = []
-    for k in range(_vanishing_bound(cx, extra) + 1):
-        values.append(_hilbert(cx, extra, k))
-        if values[-1] == 0:
-            return k, tuple(values)
-    return None, tuple(values)
-
-
 def is_sop(cx: SimplicialComplex, cand: SopCandidate) -> SopCheck:
     """Decide whether the candidate is a system of parameters.
 
@@ -364,7 +416,7 @@ def is_sop(cx: SimplicialComplex, cand: SopCandidate) -> SopCheck:
     d = cx.dim
     if len(cand.theta) != d + 1:
         raise ArityError(f"a sop of a {d}-complex needs {d + 1} forms, got {len(cand.theta)}")
-    k, values = _first_vanishing(cx, cand.theta)
+    k, values = _quotient(cx, cand.theta).vanishing
     return SopCheck(k is not None, k, values)
 
 
@@ -375,7 +427,7 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     By Macaulay duality the piece has dimension dim A_k, A the quotient
     by extra.  A is standard graded (A_{k+1} = A_1 A_k), so it vanishes
     in every degree from its first vanishing degree N
-    (``_first_vanishing``) on, and there the piece is empty without a
+    (``_Quotient.vanishing``) on, and there the piece is empty without a
     matrix.  Below N the contraction matrix is built here, not from span
     rows, so duality stays an independent check of the quotient
     dimensions.  Its columns are the standard monomials b of degree k,
@@ -386,25 +438,35 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     quotients are differences of codes with exponents up to k, looked up
     in the standard monomials of degree k - deg g: t divides b exactly
     when the difference is a code there (``coded_monomials``).
+
+    Rowless degrees.  Where no span form has degree <= k (degree 0 of
+    every sop), the matrix has no rows, so every column is free and its
+    kernel is spanned by the unit vectors: the piece is the degree-k
+    standard monomials, each with coefficient 1, and nothing is built.
     """
-    extra = tuple(extra)
-    vanishing = _first_vanishing(cx, extra)[0]
+    q = _quotient(cx, tuple(extra))
+    vanishing = q.vanishing[0]
     if vanishing is None:
         raise NotArtinian("quotient Hilbert function does not vanish by the sop bound")
-    if k >= vanishing:
+    if k < 0 or k >= vanishing:
         return InverseSystemPiece(k, ())
-    caps, filters, cols, others = _graded_basis(cx, extra, k)
+    caps, filters, others = q.fold(k)
+    cols = _standard_monomials(cx, k, caps, filters)
+    if not others:
+        return InverseSystemPiece(k, tuple(Polynomial({Monomial._trusted(b, k): 1}) for b in cols))
     base = code_base(k)
     row_index = {}
     entries = {}
     for n, (g, copies) in enumerate(Counter(others).items()):
-        terms = coded_terms(cx, g, base, copies)
-        lower = coded_monomials(cx, k - g.degree(), base, caps, filters)
-        for b, j in coded_monomials(cx, k, base, caps, filters).items():
+        terms = q.terms(g, base)
+        if copies > 1:
+            terms = [(t, linalg._exact(c * copies)) for t, c in terms]
+        lower = q.coded(k - g.degree(), base)
+        for b, j in q.coded(k, base).items():
             for t, c in terms:
-                if (q := b - t) in lower:
+                if (d := b - t) in lower:
                     # distinct terms of one form give distinct quotients
-                    entries[row_index.setdefault((n, q), len(row_index)), j] = c
+                    entries[row_index.setdefault((n, d), len(row_index)), j] = c
     mat = linalg.ExactMatrix._trusted(len(row_index), len(cols), entries)
     basis = tuple(
         Polynomial({Monomial._trusted(cols[j], k): c for j, c in enumerate(vec) if c})
@@ -413,26 +475,27 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     return InverseSystemPiece(k, basis)
 
 
-def _membership(cx, extra: tuple, g):
-    """g lies in the Stanley-Reisner ideal plus extra exactly when adding
-    it as a generator leaves the degree-(deg g) quotient unchanged."""
-    _validate_extra(cx, [g])
+def _membership(q: _Quotient, g) -> bool:
+    """g lies in the Stanley-Reisner ideal plus q's forms exactly when
+    adding it as a generator leaves the degree-(deg g) quotient
+    unchanged."""
+    _validate_extra(q.cx, [g])
     if g.is_zero():
         return True
     k = g.degree()
-    # the value with g is not memoised: each g is asked about once, and its
-    # cache key would keep g alive for the rest of the process
-    return _hilbert.__wrapped__(cx, extra + (g,), k) == _value(cx, extra, k)
+    # the quotient with g is not kept: each g is asked about once, and a
+    # cache would keep g alive for the rest of the process
+    return _Quotient(q.cx, q.extra + (g,)).dimension(k) == q.value(k)
 
 
 def ideal_membership(cx: SimplicialComplex, extra, g: Polynomial) -> bool:
     """Exact membership test by span rank (the inverse-system annihilation
     test is available through inverse_system_piece as an independent
     oracle)."""
-    extra = tuple(extra)
-    if _first_vanishing(cx, extra)[0] is None:
+    q = _quotient(cx, tuple(extra))
+    if q.vanishing[0] is None:
         raise NotArtinian("membership is supported for artinian quotients only")
-    return _membership(cx, extra, g)
+    return _membership(q, g)
 
 
 def _failure_mode(dim_from, dim_to, rank):
@@ -650,16 +713,30 @@ def _suspension_strings(facets, caps: dict) -> Optional[Counter]:
     for f in facets:
         for v in f:
             near[v] |= f
-    strings = Counter({(0, 1): 1})
+    cone_caps, pairs = [], []
     for v in vertices:
         apart = vertices - near[v]
         if v in cone:
-            strings = _tensor(strings, ((0, caps[v]),))
+            cone_caps.append(caps[v])
         elif len(apart) != 1:
             return None
         elif v < min(apart):
-            a, b = sorted((caps[v], caps[min(apart)]))
-            strings = _tensor(strings, ((0, b), (1, a - 1)))
+            pairs.append(tuple(sorted((caps[v], caps[min(apart)]))))
+    return _join_strings(tuple(sorted(cone_caps)), tuple(sorted(pairs)))
+
+
+@lru_cache(maxsize=256)
+def _join_strings(cone: tuple, pairs: tuple) -> Counter:
+    """The strings of ``_suspension_strings`` from the join's cap shape:
+    the caps of its cone vertices and the caps (a, b), a <= b, of its
+    pairs, each sorted.  The tensor product does not depend on the order
+    of its factors, so joins of one shape share one Counter, which no
+    caller may change."""
+    strings = Counter({(0, 1): 1})
+    for a in cone:
+        strings = _tensor(strings, ((0, a),))
+    for a, b in pairs:
+        strings = _tensor(strings, ((0, b), (1, a - 1)))
     return strings
 
 
@@ -717,7 +794,7 @@ def _jordan_type(facets, caps: dict, memo: dict) -> Counter:
     ``slp_check`` takes on B, kept in memo by facet set.
 
     Strings from ranks.  r(j, i) counts the strings covering i and i + j
-    (``_covering``), r(0, i) = dim B_i, and r = 0 out of range.  So
+    (``_coverings``), r(0, i) = dim B_i, and r = 0 out of range.  So
     r(ℓ-1, i) - r(ℓ, i) counts the strings from at most i that end at i +
     ℓ - 1, r(ℓ, i-1) - r(ℓ+1, i-1) those from at most i - 1 that end
     there, and their difference n(i, ℓ) the strings (i, ℓ).  The recursion
@@ -736,17 +813,33 @@ def _jordan_type(facets, caps: dict, memo: dict) -> Counter:
     return strings
 
 
-def _covering(strings: Counter, i: int, j: int) -> int:
-    """The strings covering i and i + j: the rank of ×L^j from degree i on
-    a Jordan type, dim A_i at j = 0.  ×L^j keeps the degree-i element of a
-    string nonzero exactly when the string covers i + j too, and distinct
-    strings map independently."""
-    return sum(c for (s, m), c in strings.items() if s <= i and i + j < s + m)
+def _coverings(peeled, top: int, powers: int) -> tuple:
+    """Each level's table c, c[j][i] the number of its strings covering i
+    and i + j, for 0 <= j <= powers and 0 <= i <= top: the rank of ×L^j
+    from degree i on a Jordan type, dim A_i at j = 0.  ×L^j keeps the
+    degree-i element of a string nonzero exactly when the string covers
+    i + j too, and distinct strings map independently.  A string (s, m)
+    covers i and i + j for s <= i <= s + m - 1 - j, so each table is
+    built once, by a difference array per power."""
+    tables = []
+    for strings in peeled:
+        table = [[0] * (top + 2) for _ in range(powers + 1)]
+        for (s, m), c in strings.items():
+            if s <= top:
+                for j in range(min(m, powers + 1)):
+                    table[j][s] += c
+                    table[j][min(s + m - j, top + 1)] -= c
+        for row in table:
+            for i in range(1, top + 2):
+                row[i] += row[i - 1]
+        tables.append(table)
+    return tuple(tables)
 
 
-def _certified(peeled, i: int, j: int) -> Optional[int]:
+def _certified(tables, i: int, j: int) -> Optional[int]:
     """rank(×L^j: A_i → A_{i+j}) where the peel (``_peeled_strings``)
-    decides it; None where it leaves the rank open.
+    decides it, read from its levels' tables (``_coverings``); None where
+    it leaves the rank open.
 
     Each level splits a frame B (A at the top) as 0 → S → B → Q → 0, S =
     x_v B the star piece and Q = B/x_v B the frame on the deletion, the
@@ -768,13 +861,13 @@ def _certified(peeled, i: int, j: int) -> Optional[int]:
     the dims add up, so a sum of dim A_i makes every Q injective and one
     of dim A_{i+j} every S onto.
     """
-    *pieces, leaf = peeled
-    rank, source = _covering(leaf, i, j), _covering(leaf, i, 0)  # of Q, the level below
+    *pieces, leaf = tables
+    rank, source = leaf[j][i], leaf[0][i]  # of Q, the level below
     exact = True
     for star in reversed(pieces):
-        r = _covering(star, i, j)
-        exact = exact and (r == _covering(star, i + j, 0) or rank == source)
-        rank, source = rank + r, source + _covering(star, i, 0)
+        r = star[j][i]
+        exact = exact and (r == star[0][i + j] or rank == source)
+        rank, source = rank + r, source + star[0][i]
     return rank if exact else None
 
 
@@ -808,13 +901,13 @@ def wlp_check(frame: ArtinianFrame) -> WlpReport:
     """
     holds_socle = frame.socle_degrees()
     socle = max(holds_socle)
-    strings = sum(peeled := _peeled_strings(frame), Counter())
-    dims = [_covering(strings, k, 0) for k in range(socle + 1)]
+    tables = _coverings(_peeled_strings(frame), socle, 1)
+    dims = [sum(t[0][k] for t in tables) for k in range(socle + 1)]
     maps = None
 
     def rank(k):
         nonlocal maps
-        r = _certified(peeled, k, 1)
+        r = _certified(tables, k, 1)
         if r is None:
             maps = maps or IsotypicMaps(frame)
             r = linalg.rank(maps.matrix(k))
@@ -855,15 +948,15 @@ def slp_check(frame: ArtinianFrame) -> SlpReport:
     ``_jordan_type`` reads a link's strings from these ranks.
     """
     socle = frame.socle_degree()
-    strings = sum(peeled := _peeled_strings(frame), Counter())
-    dims = [_covering(strings, k, 0) for k in range(socle + 1)]
+    tables = _coverings(_peeled_strings(frame), socle, socle)
+    dims = [sum(t[0][k] for t in tables) for k in range(socle + 1)]
     maps, steps = None, {}  # the ×L maps M_k, built on first use
     ranks = {}  # (j, i) -> rank of ×L^j from degree i
     onto = set()  # powers j onto from some lower degree
     for i in range(socle):
         powers = range(1, socle - i + 1)
         for j in powers:
-            ranks[j, i] = dims[i + j] if j in onto else _certified(peeled, i, j)
+            ranks[j, i] = dims[i + j] if j in onto else _certified(tables, i, j)
         top = max((j for j in powers if ranks[j, i] is None), default=0)
         power = None
         for j in range(1, top + 1):
@@ -993,11 +1086,12 @@ def verify_unexpected(
     lhs = sum(cand.degrees) + profile.h_degree - (d + 1)
     u2 = lhs == t
 
-    u3 = _membership(cx, cand.theta, f)
+    quotient = _quotient(cx, cand.theta)
+    u3 = _membership(quotient, f)
 
     cap_map = frame.cap_map
     failing = [v for v, a in cap_map.items()
-               if not _membership(cx, cand.theta, Polynomial.variable(v, a))]
+               if not _membership(quotient, Polynomial.variable(v, a))]
     u4 = not failing
 
     hf_t = hilbert_function(frame, t)

@@ -604,11 +604,11 @@ def code(exps, weights: dict) -> int:
     return out
 
 
-def coded_terms(cx: SimplicialComplex, f: Polynomial, base: int, scale=1) -> list:
-    """The (code, coefficient) pairs of f's terms, each coefficient times
-    scale in ``linalg``'s normal form."""
+def coded_terms(cx: SimplicialComplex, f: Polynomial, base: int) -> list:
+    """The (code, coefficient) pairs of f's terms, each coefficient in
+    ``linalg``'s normal form."""
     weights = exponent_weights(cx, base)
-    return [(code(t.exps, weights), linalg._exact(c * scale)) for t, c in f.terms.items()]
+    return [(code(t.exps, weights), linalg._exact(c)) for t, c in f.terms.items()]
 
 
 def coded_monomials(cx: SimplicialComplex, k: int, base: int, caps=(), filters=()) -> dict:

@@ -1,5 +1,6 @@
 """Complex construction, face machinery and topological predicates."""
 
+import json
 import random
 import time
 from itertools import combinations, product
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from lefkit.complexes import (
     CollapseCertificate,
     HomologyReport,
+    _betti,
     _reduced_betti,
     _ridge_pairs,
     _ridges,
@@ -36,7 +38,7 @@ from lefkit.errors import (
     PurityError,
     RangeError,
 )
-from lefkit import fixtures, linalg
+from lefkit import cli, complexes, fixtures, linalg
 
 ALL_FIXTURES = fixtures.FIXTURE_NAMES
 
@@ -704,7 +706,7 @@ class TestAgainstReplacedCode:
     def test_ranks_match_every_boundary_rank(self, complex_):
         d = complex_.dim
         expected = every_boundary_rank(complex_)
-        assert _reduced_betti(complex_) == expected
+        assert _reduced_betti(complex_)[0] == expected
         rep = homology(complex_)
         assert rep.ranks == expected
         assert (rep.top_cycle is not None) == (expected[-1] == 1)
@@ -719,7 +721,7 @@ class TestAgainstReplacedCode:
         # the apex joins every facet, or replaces a vertex it already was
         complex_ = from_facets([f | {apex} for f in base.facets])
         expected = every_boundary_rank(complex_)
-        assert expected == (0,) * (complex_.dim + 2) == _reduced_betti(complex_)
+        assert expected == (0,) * (complex_.dim + 2) == _reduced_betti(complex_)[0]
         assert homology.__wrapped__(complex_) == HomologyReport(expected, None)
 
     def test_cones_eliminate_nothing(self, monkeypatch):
@@ -835,7 +837,7 @@ class TestCertifiedTopology:
     @given(st.sampled_from(sorted(CLOSED)), st.randoms(use_true_random=False))
     def test_relabelled_closed_complexes(self, name, rng):
         complex_ = relabelled(CLOSED[name], rng)
-        assert _reduced_betti(complex_) == every_boundary_rank(complex_)
+        assert _reduced_betti(complex_)[0] == every_boundary_rank(complex_)
 
     @pytest.mark.parametrize("name, ranks", [
         ("RP2", (0, 0, 0, 0)),
@@ -845,13 +847,41 @@ class TestCertifiedTopology:
     ])
     def test_two_gf2_degrees_take_the_exact_path(self, monkeypatch, name, ranks):
         # over GF(2) both RP² and the torus have homology in degrees 1 and
-        # 2, so neither is certified; the spheres are
-        calls = []
-        exact = linalg.rank
-        monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or exact(m))
+        # 2, so neither is certified; the spheres are.  The exact path
+        # ranks the boundary maps below the top one and takes the top
+        # one's kernel, from which homology reads the torus's top cycle
+        # without eliminating that map again
+        calls = {"rank": 0, "kernel_basis": 0}
+        for name_ in calls:
+            real = getattr(linalg, name_)
+            monkeypatch.setattr(linalg, name_, lambda m, n=name_, f=real: calls.update(
+                {n: calls[n] + 1}) or f(m))
         complex_ = from_facets(CLOSED[name])
-        assert _reduced_betti(complex_) == ranks
-        assert len(calls) == (complex_.dim + 1 if name in ("RP2", "TORUS7") else 0)
+        _betti.cache_clear()
+        rep = homology.__wrapped__(complex_)
+        assert rep.ranks == ranks
+        exact = name in ("RP2", "TORUS7")
+        assert calls == {"rank": complex_.dim if exact else 0,
+                         "kernel_basis": int(exact or ranks[-1] == 1)}
+        assert (rep.top_cycle is not None) == (ranks[-1] == 1)
+
+    def test_info_computes_the_betti_numbers_once(self, monkeypatch, tmp_path, capsys):
+        # the Cohen-Macaulay scan, the sphere scan and homology all read
+        # the whole complex's Betti numbers: cmd_info computes them once
+        complex_ = from_facets(XPOLY5)
+        path = tmp_path / "xpoly5.json"
+        path.write_text(json.dumps({"name": "XPOLY5", "facets": [sorted(f) for f in XPOLY5]}))
+        seen = []
+        real = complexes._reduced_betti
+        monkeypatch.setattr(complexes, "_reduced_betti", lambda c: seen.append(c) or real(c))
+        for cached in (_betti, homology, is_cohen_macaulay, is_homology_sphere):
+            cached.cache_clear()
+        assert cli.main(["info", "--complex", str(path)]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert (info["cohen_macaulay"]["holds"], info["homology_sphere"]) == (True, True)
+        assert info["homology_ranks"] == [0] * 5 + [1]
+        assert seen.count(complex_) == 1
+        assert len(seen) > 1  # the links are computed, and not kept
 
     @settings(max_examples=150, deadline=None)
     @given(ridge_complexes(), st.booleans())

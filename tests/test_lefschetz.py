@@ -1102,8 +1102,8 @@ def contraction_matrix_reference(complex_, extra, k):
     ``inverse_system_piece`` as the pairwise loop built them: division
     through a dict of exponents, entries summed as ``Fraction`` and
     checked by the constructor."""
-    _, _, basis, others = lefschetz._graded_basis(complex_, tuple(extra), k)
-    cols = [Monomial(b) for b in basis]
+    caps, filters, others = lefschetz._quotient(complex_, tuple(extra)).fold(k)
+    cols = [Monomial(b) for b in standard_monomials(complex_, k, caps, filters)]
     row_index, entries = {}, {}
     for g in others:
         for j, b in enumerate(cols):
@@ -1143,19 +1143,26 @@ def coded_builder_cases(cx):
     return cases + [sparse_case(*case, rng) for case in inverse_system_cases(cx) + cases]
 
 
+def rowless(extra, k):
+    """No span form, a nonzero form with two or more terms, has degree at
+    most k: the contraction matrix of degree k has no rows."""
+    return all(g.is_zero() or g.is_monomial() or g.degree() > k for g in extra)
+
+
 def check_contraction_matrices(cases, monkeypatch):
     """Below the first vanishing degree N the contraction matrix is the
     pairwise loop's, entry for entry and in row order, and its kernel the
-    piece.  From N on no matrix is built, and the pairwise loop's matrix
-    has no kernel there: duality is checked exactly where the piece skips
-    it."""
+    piece.  From N on, and in rowless degrees, no matrix is built: from N
+    on the pairwise loop's matrix has no kernel, and in a rowless degree
+    the piece is its kernel, so duality is checked exactly where the
+    piece skips it."""
     built = []
     kernel_basis = linalg.kernel_basis
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "kernel_basis", lambda m: built.append(m) or kernel_basis(m))
         for complex_, extra, degrees in cases:
             # the complex's homology and the Hilbert scan come first
-            vanishing = lefschetz._first_vanishing(complex_, tuple(extra))[0]
+            vanishing = lefschetz._quotient(complex_, tuple(extra)).vanishing[0]
             for k in degrees:
                 built.clear()
                 piece = inverse_system_piece(complex_, extra, k)
@@ -1166,9 +1173,13 @@ def check_contraction_matrices(cases, monkeypatch):
                     assert piece.basis == ()
                     assert kernel_basis(reference).vectors == (), (complex_, extra, k)
                     continue
-                [matrix] = built
-                assert matrix == reference, (complex_, extra, k)
-                assert_normal_form(matrix)
+                if rowless(extra, k):
+                    assert built == [], (complex_, extra, k)
+                    assert reference.rows == 0
+                else:
+                    [matrix] = built
+                    assert matrix == reference, (complex_, extra, k)
+                    assert_normal_form(matrix)
                 assert piece.basis == tuple(
                     Polynomial({cols[j]: c for j, c in enumerate(vec) if c})
                     for vec in kernel_basis(reference).vectors
@@ -1188,7 +1199,8 @@ def span_rows_reference(complex_, extra, k):
     a row per span form g and standard monomial m of degree k - deg g,
     each product m·t (``_times``) looked up among the standard monomials
     of degree k, the entries read by the validating constructor."""
-    caps, filters, cols, others = lefschetz._graded_basis(complex_, tuple(extra), k)
+    caps, filters, others = lefschetz._quotient(complex_, tuple(extra)).fold(k)
+    cols = standard_monomials(complex_, k, caps, filters)
     index = {m: j for j, m in enumerate(cols)}
     entries = {}
     i = 0
@@ -1571,9 +1583,9 @@ def check_characters(frame):
             block = blocks.get(s, linalg.ExactMatrix(0, 0, {}))
             ranks[s].append(linalg.rank(block))
             if types[s] is not None:
-                shape = tuple(lefschetz._covering(types[s], d, 0) for d in (k + 1, k))
+                shape = tuple(covering(types[s], d, 0) for d in (k + 1, k))
                 assert (block.rows, block.cols) == shape, (frame, k, s)
-                assert ranks[s][-1] == lefschetz._covering(types[s], k, 1), (frame, k, s)
+                assert ranks[s][-1] == covering(types[s], k, 1), (frame, k, s)
         if types[0] is None:
             direct = linalg.rank(multiplication_matrix(frame, L, k))
             assert sum(r[-1] for r in ranks.values()) == direct, (frame, k)
@@ -2032,7 +2044,7 @@ class TestSuspensions:
         strings = suspension_strings(frame)
         assert strings is not None
         dims = hilbert_series(frame)
-        assert [lefschetz._covering(strings, k, 0) for k in range(len(dims))] == list(dims)
+        assert [covering(strings, k, 0) for k in range(len(dims))] == list(dims)
         check_direct(frame)
 
     @settings(max_examples=40, deadline=None)
@@ -2048,6 +2060,20 @@ class TestSuspensions:
         for frame in frames:
             assert suspension_strings(frame) is not None
             assert slp_check(frame) == slp_reference(frame), frame
+
+    def test_joins_of_one_cap_shape_share_their_strings(self, cx):
+        # OCT with its pairs' caps swapped and its vertices renamed has the
+        # cap shape of OCT: the strings are one Counter, read, never changed
+        oct_ = cx("OCT")
+        frame = ArtinianFrame(oct_, [2, 3, 2, 2, 4, 3])
+        renamed = from_facets([{7 * v for v in f} for f in oct_.facets])
+        twin = ArtinianFrame(renamed, {7: 3, 14: 2, 21: 2, 28: 2, 35: 3, 42: 4})
+        strings = suspension_strings(frame)
+        assert suspension_strings(twin) is strings
+        assert strings == Counter(strings)
+        before = dict(strings)
+        wlp_check(frame), slp_check(twin)
+        assert dict(strings) == before
 
     @pytest.mark.parametrize("name", ["OCT", "CROSS4", "C4", "PATH3", "EDGE"])
     def test_fixtures_build_no_layout(self, cx, name):
@@ -2081,6 +2107,17 @@ class TestSuspensions:
 # --- the vertex peel: a lower bound on every rank -------------------------------
 
 
+def covering(strings, i, j):
+    """The strings covering i and i + j, counted one string at a time: the
+    rank of ×L^j from degree i on a Jordan type, dim A_i at j = 0."""
+    return sum(c for (s, m), c in strings.items() if s <= i and i + j < s + m)
+
+
+def certified(peeled, i, j):
+    """``lefschetz._certified`` on the peel's tables, built up to i + j."""
+    return lefschetz._certified(lefschetz._coverings(peeled, i + j, j), i, j)
+
+
 def check_peel(frame, ranks):
     """The peel (``_peeled_strings``) against exact ranks, a dict (j, i) ->
     rank of ×L^j from degree i: its strings count every dimension, their
@@ -2092,17 +2129,21 @@ def check_peel(frame, ranks):
     if peeled is not None:
         strings = sum(peeled, Counter())
         dims = hilbert_series(frame)
-        assert tuple(lefschetz._covering(strings, k, 0) for k in range(len(dims))) == dims, frame
+        assert tuple(covering(strings, k, 0) for k in range(len(dims))) == dims, frame
+        top = len(dims) - 1
+        for level, table in zip(peeled, lefschetz._coverings(peeled, top, top)):
+            assert [row[:top + 1] for row in table] == [
+                [covering(level, i, j) for i in range(top + 1)] for j in range(top + 1)], frame
         exact = len(peeled) == 1
         assert exact == (suspension_strings(frame) is not None), frame
         for (j, i), r in ranks.items():
-            bound = lefschetz._covering(strings, i, j)
+            bound = covering(strings, i, j)
             assert bound <= r, (frame, j, i)
             assert bound == r or not exact, (frame, j, i)
-            assert lefschetz._certified(peeled, i, j) in (None, r), (frame, j, i)
+            assert certified(peeled, i, j) in (None, r), (frame, j, i)
             # a full-rank sum meets the snake condition at every level
             if bound == min(dims[i], dims[i + j]):
-                assert lefschetz._certified(peeled, i, j) == bound, (frame, j, i)
+                assert certified(peeled, i, j) == bound, (frame, j, i)
     return peeled
 
 
@@ -2214,7 +2255,7 @@ class TestPeel:
             assert len(peeled) > 1, frame
             strings = sum(peeled, Counter())
             dims = hilbert_series(frame)
-            assert tuple(lefschetz._covering(strings, k, 0) for k in range(len(dims))) == dims
+            assert tuple(covering(strings, k, 0) for k in range(len(dims))) == dims
 
     def test_joins_are_exact(self, cx):
         for name in ("OCT", "CROSS4", "C4", "PATH3", "EDGE"):
@@ -2247,7 +2288,7 @@ def check_strings(frame):
     strings = report_strings(slp_check(frame))
     assert all(c > 0 for c in strings.values()), (frame, strings)
     dims = hilbert_series(frame)
-    assert tuple(lefschetz._covering(strings, k, 0) for k in range(len(dims))) == dims, frame
+    assert tuple(covering(strings, k, 0) for k in range(len(dims))) == dims, frame
     assert lefschetz._jordan_type(frame.complex.facets, frame.cap_map, {}) == strings, frame
 
 
@@ -2309,7 +2350,7 @@ def decided(frame):
     dims = hilbert_series(frame)
     top = len(dims) - 1
     return {(j, i): r for i in range(top) for j in range(1, top - i + 1)
-            if (r := lefschetz._certified(peeled, i, j)) is not None}
+            if (r := certified(peeled, i, j)) is not None}
 
 
 def recorded_slp(frame):
@@ -2336,8 +2377,8 @@ class TestSnakeRule:
         frame = ArtinianFrame(cx("C3"), 2)
         star, leaf = lefschetz._peeled_strings(frame)
         assert (star, leaf) == (Counter({(1, 2): 1, (2, 1): 1}), Counter({(0, 3): 1, (1, 1): 1}))
-        assert lefschetz._covering(star, 1, 1) + lefschetz._covering(leaf, 1, 1) == 2
-        assert lefschetz._certified((star, leaf), 1, 1) is None
+        assert covering(star, 1, 1) + covering(leaf, 1, 1) == 2
+        assert certified((star, leaf), 1, 1) is None
         assert wlp_check(frame).per_degree[1].rank == 3
         # the pairs (j, i) left open at caps 2 to 4: where the sum is below
         # the rank, and a few where it is the rank without a proof
@@ -2398,7 +2439,9 @@ class TestSnakeRule:
 
 def scan_route(monkeypatch):
     """Send every quotient through the Hilbert-function scan, the route
-    ``_sop_values`` replaces on sops of Cohen-Macaulay complexes."""
+    ``_sop_values`` replaces on sops of Cohen-Macaulay complexes.  The
+    prepared quotients hold their sop values, so they are dropped."""
+    lefschetz._quotient.cache_clear()
     monkeypatch.setattr(lefschetz, "_sop_values", lambda complex_, extra: None)
 
 
@@ -2439,6 +2482,7 @@ def check_against_scan(monkeypatch, complex_, theta, members=()):
     with monkeypatch.context() as m:
         scan_route(m)
         assert sop_outputs(complex_, theta, members) == got, (complex_, theta)
+    lefschetz._quotient.cache_clear()  # prepared on the scan
     return values
 
 
@@ -2568,3 +2612,102 @@ class TestSopRoute:
         assert void.dim == -1 and is_cohen_macaulay(void)
         assert check_against_scan(monkeypatch, void, [], [Polynomial.constant(2)]) == (1, 0)
         assert is_sop(void, SopCandidate.make([])) == lefschetz.SopCheck(True, 1, (1, 0))
+
+
+# --- one prepared quotient per (complex, forms) ------------------------------
+
+
+def clear_every_cache():
+    from lefkit import monomials
+
+    for module in (lefschetz, monomials):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+class TestPreparedQuotient:
+    def test_a_refusal_is_never_kept(self, cx):
+        # each invalid call raises, before and after a valid call of the
+        # same kind on the same complex
+        from lefkit.errors import PreconditionError
+
+        oct_ = cx("OCT")
+        line = [P("x1 + x2"), P("x3 + x4"), P("x5 + x6")]
+        bent, foreign = line[:2] + [P("x5 + x6^2")], line[:2] + [P("x1 + x99")]
+        short = line[:2]  # one form short: no sop, and no artinian quotient
+        runs = [
+            (HomogeneityError, lambda: quotient_hilbert(oct_, bent, 1),
+             lambda: quotient_hilbert(oct_, line, 1)),
+            (PreconditionError, lambda: quotient_hilbert(oct_, foreign, 1),
+             lambda: quotient_hilbert(oct_, line, 1)),
+            (HomogeneityError, lambda: inverse_system_piece(oct_, bent, 0),
+             lambda: inverse_system_piece(oct_, line, 0)),
+            (PreconditionError, lambda: is_sop(oct_, SopCandidate.make(foreign)),
+             lambda: is_sop(oct_, SopCandidate.make(line))),
+            (ArityError, lambda: is_sop(oct_, SopCandidate.make(short)),
+             lambda: is_sop(oct_, SopCandidate.make(line))),
+            (NotArtinian, lambda: ideal_membership(oct_, short, P("x1")),
+             lambda: ideal_membership(oct_, line, P("x1"))),
+            (PreconditionError, lambda: ideal_membership(oct_, line, P("x99")),
+             lambda: ideal_membership(oct_, line, P("x1"))),
+            (HomogeneityError, lambda: ideal_membership(oct_, line, P("x1 + x2^2")),
+             lambda: ideal_membership(oct_, line, P("x1^2"))),
+        ]
+        for error, invalid, valid in runs:
+            with pytest.raises(error):
+                invalid()
+            valid()
+            with pytest.raises(error):
+                invalid()
+            valid()
+
+    def test_forms_are_validated_once_per_pair(self, cx, monkeypatch):
+        complex_, cand = oct_colored(cx)
+        theta = list(cand.theta)
+        validated = []
+        real = lefschetz._validate_extra
+        monkeypatch.setattr(lefschetz, "_validate_extra",
+                            lambda c, extra: validated.append(tuple(extra)) or real(c, extra))
+        lefschetz._quotient.cache_clear()
+        for _ in range(3):
+            is_sop(complex_, cand)
+            for k in range(6):
+                quotient_hilbert(complex_, theta, k)
+                inverse_system_piece(complex_, theta, k)
+        assert validated == [tuple(theta)]
+        # a membership form is validated on every call, and kept nowhere
+        g = P("x1 + x3")
+        for _ in range(2):
+            ideal_membership(complex_, theta, g)
+        assert validated == [tuple(theta), (g,), (g,)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(sop_shaped())
+    def test_warm_results_equal_cold_ones(self, case):
+        complex_, theta = case
+        members = members_of(complex_, theta)
+        sop_outputs(complex_, theta, members)
+        warm = sop_outputs(complex_, theta, members)
+        clear_every_cache()
+        assert sop_outputs(complex_, theta, members) == warm
+
+    def test_rowless_pieces_come_from_the_reference(self, cx, monkeypatch):
+        kernel_basis = linalg.kernel_basis
+        checked = capped = 0
+        for complex_, extra, degrees in inverse_system_cases(cx) + coded_builder_cases(cx):
+            vanishing = lefschetz._quotient(complex_, tuple(extra)).vanishing[0]
+            for k in degrees:
+                if k >= vanishing or not rowless(extra, k):
+                    continue
+                cols, reference = contraction_matrix_reference(complex_, extra, k)
+                want = tuple(Polynomial({cols[j]: c for j, c in enumerate(vec) if c})
+                             for vec in kernel_basis(reference).vectors)
+                with monkeypatch.context() as patch:
+                    patch.setattr(linalg, "kernel_basis", lambda m: pytest.fail("eliminated"))
+                    assert inverse_system_piece(complex_, extra, k).basis == want
+                checked += 1
+                capped += any(g.is_monomial() and g.degree() <= k for g in extra)
+        # degree 0 of every case, and the edge's top piece under its caps,
+        # on both vertex ids
+        assert checked > len(inverse_system_cases(cx)) and capped >= 2

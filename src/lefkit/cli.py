@@ -141,6 +141,8 @@ def cmd_hf(args, cx):
         frame = ArtinianFrame(cx, _parse_caps(args.caps))
         extra = frame.power_generators() + extra
     if degrees is None:
+        if args.forms:
+            lf._quotient(cx, tuple(extra))  # refuses bad forms before their bound is read
         top = lf._vanishing_bound(cx, extra) if args.forms else frame.socle_degree()
         degrees = list(range(top + 1))
     payload["degrees"] = degrees

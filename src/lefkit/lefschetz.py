@@ -11,7 +11,8 @@ divisibility filters that pick the basis from
 other forms become span rows.  A pure power of every vertex bounds the
 vanishing degree by that frame's socle degree + 1.  Each (complex,
 forms) pair is validated and folded once, into one prepared quotient
-(``_quotient``) that every query of it starts from.
+(``_quotient``) that every query of it starts from, and every query of
+one degree reads that quotient's one span (``_Quotient.span``).
 """
 
 from __future__ import annotations
@@ -213,10 +214,13 @@ class _Quotient:
     caps and filters in the normal form of ``monomials._biting`` (the
     generators of degree <= k are exactly those that can bite in degree
     k, so the fold of degree k is the cache key of the degree-k piece),
-    and the span forms.  It keeps each span form's coded terms per code
-    base, the sop values (``_sop_values``) and the first vanishing degree.
-    It keeps no span or contraction rows, which cost memory, and no
-    membership form: a kept g would stay alive with it.
+    and the distinct span forms.  It keeps each span form's coded terms
+    per code base, the Hilbert values it has ranked, the sop values
+    (``_sop_values``) and the first vanishing degree.  Every query reads
+    one matrix per degree, the span (``span``): its rank gives the value,
+    its kernel the inverse-system piece, and one more row decides a
+    membership.  It keeps no span, which costs memory, and no membership
+    form: a kept g would stay alive with it.
     """
 
     def __init__(self, cx, extra: tuple):
@@ -224,16 +228,17 @@ class _Quotient:
         self._top = max((g.degree() for g in extra), default=0)
         self._folds = {}  # degree up to the top one -> (caps, filters, span forms)
         self._codes = {}  # code base -> {span form: coded terms}
+        self._values = {}  # degree -> value from the span's rank (``ranked``)
 
     def fold(self, k: int) -> tuple:
-        """Caps, filters and span forms of the generators of degree <= k.
-        Every degree from the forms' top one on has the same fold, so at
-        most top + 1 folds are kept."""
+        """Caps, filters and distinct span forms of the generators of
+        degree <= k.  Every degree from the forms' top one on has the same
+        fold, so at most top + 1 folds are kept."""
         k = min(k, self._top)
         out = self._folds.get(k)
         if out is None:
             caps, filters, others = _fold(g for g in self.extra if g.degree() <= k)
-            out = self._folds[k] = (caps, tuple(sorted(set(filters))), tuple(others))
+            out = self._folds[k] = (caps, tuple(sorted(set(filters))), tuple(dict.fromkeys(others)))
         return out
 
     def coded(self, k: int, base: int) -> dict:
@@ -249,41 +254,67 @@ class _Quotient:
             out = codes[g] = coded_terms(self.cx, g, base)
         return out
 
-    def dimension(self, k: int) -> int:
-        """Degree-k dimension, k >= 0: the standard monomials minus the
-        rank of the span of the span forms.
+    def span(self, k: int, form=None) -> linalg.ExactMatrix:
+        """The degree-k span of the forms modulo the monomial part of the
+        ideal, k >= 0, with one more row for form if one is given.
 
-        The span has a row m·g per form g and standard monomial m of degree
-        k - deg g, with g's coefficient of t in the column of m·t.  The
-        products are sums of codes (``coded_monomials``) with exponents up
-        to k: no monomial coded or formed has a larger degree.  Distinct
-        terms give distinct products, and a product missing from the columns
-        is zero in the quotient.
-        """
+        Its columns are the standard monomials b of degree k, and each
+        span form g has one row per quotient q = b / t over its terms t, in
+        order of first appearance; entry (g, q), b is g's coefficient of t.
+        A row is m·g for a standard m of degree k - deg g, restricted to
+        the columns: a product off them lies in the monomial part, and an
+        m·g with no standard product is a zero row, which is left out.  The
+        quotients are differences of codes with exponents up to k, looked
+        up in the standard monomials of degree k - deg g: t divides b
+        exactly when the difference is a code there (``coded_monomials``).
+        The row of form holds its coefficients on the columns; its other
+        terms lie in the monomial part."""
         base = code_base(k)
-        index = self.coded(k, base)
+        cols = self.coded(k, base)
         entries = {}
         i = 0
         for g in self.fold(k)[2]:
             terms = self.terms(g, base)
-            for m in self.coded(k - g.degree(), base):
+            # each quotient's row, -1 until it first appears
+            rows = dict.fromkeys(self.coded(k - g.degree(), base), -1)
+            for b, j in cols.items():
                 for t, c in terms:
-                    if (j := index.get(m + t)) is not None:
-                        entries[i, j] = c
-                i += 1
-        span = linalg.ExactMatrix._trusted(i, len(index), entries)
-        return len(index) - (linalg.rank(span) if span.entries else 0)
+                    if (r := rows.get(d := b - t)) is not None:
+                        if r < 0:
+                            r = rows[d] = i
+                            i += 1
+                        # distinct terms of one form give distinct quotients
+                        entries[r, j] = c
+        if form is not None:
+            for t, c in coded_terms(self.cx, form, base):
+                if (j := cols.get(t)) is not None:
+                    entries[i, j] = c
+            i += 1
+        return linalg.ExactMatrix._trusted(i, len(cols), entries)
+
+    def dimension(self, k: int, form=None) -> int:
+        """Degree-k dimension of the quotient, with form among the
+        generators if one is given, k >= 0: the standard monomials minus
+        the rank of the span."""
+        span = self.span(k, form)
+        return span.cols - (linalg.rank(span) if span.entries else 0)
 
     @cached_property
     def sop_values(self) -> Optional[tuple]:
         return _sop_values(self.cx, self.extra)
 
+    def ranked(self, k: int) -> int:
+        """The degree-k dimension from the span's rank, k >= 0, kept."""
+        if (out := self._values.get(k)) is None:
+            out = self._values[k] = self.dimension(k)
+        return out
+
     def value(self, k: int) -> int:
         """The degree-k dimension, k >= 0: from the sop values where they
-        decide, else one ``_hilbert`` rank."""
+        decide, else ranked."""
         values = self.sop_values
         if values is None:
-            return _hilbert(self.cx, self.extra, k)
+            return self.ranked(k)
         return values[k] if k < len(values) else 0
 
     @cached_property
@@ -297,19 +328,10 @@ class _Quotient:
             return len(values) - 1, values
         values = []
         for k in range(_vanishing_bound(self.cx, self.extra) + 1):
-            values.append(_hilbert(self.cx, self.extra, k))
+            values.append(self.ranked(k))
             if values[-1] == 0:
                 return k, tuple(values)
         return None, tuple(values)
-
-
-@lru_cache(maxsize=1024)
-def _hilbert(cx, extra: tuple, k: int) -> int:
-    """``_Quotient.dimension`` of the quotient by extra.  Only the value is
-    memoised: vanishing scans, inverse-system pieces and membership tests
-    ask for the same degrees over and over, and an int costs next to
-    nothing to keep, where span rows would not."""
-    return _quotient(cx, extra).dimension(k)
 
 
 def quotient_hilbert(cx: SimplicialComplex, extra, k: int) -> int:
@@ -374,7 +396,7 @@ def _sop_values(cx, extra: tuple) -> Optional[tuple]:
         e = g.degree()
         padded = [0] * (e - 1) + values + [0] * (e - 1)
         values = [sum(padded[k:k + e]) for k in range(len(values) + e - 1)]
-    if not linear and _hilbert(cx, extra, len(values)) != 0:
+    if not linear and _quotient(cx, extra).ranked(len(values)) != 0:
         return None
     return tuple(values) + (0,)
 
@@ -424,23 +446,14 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     """Degree-k piece of the inverse system of the Stanley-Reisner ideal
     plus extra forms, as a kernel over face-supported monomials.
 
-    By Macaulay duality the piece has dimension dim A_k, A the quotient
-    by extra.  A is standard graded (A_{k+1} = A_1 A_k), so it vanishes
-    in every degree from its first vanishing degree N
-    (``_Quotient.vanishing``) on, and there the piece is empty without a
-    matrix.  Below N the contraction matrix is built here, not from span
-    rows, so duality stays an independent check of the quotient
-    dimensions.  Its columns are the standard monomials b of degree k,
-    and each span form g has one row per quotient q = b / t over its
-    terms t, in order of first appearance; entry (g, q), b is g's
-    coefficient of t, read into ``linalg``'s normal form once per form.
-    A form given more than once adds its coefficients once per copy.  The
-    quotients are differences of codes with exponents up to k, looked up
-    in the standard monomials of degree k - deg g: t divides b exactly
-    when the difference is a code there (``coded_monomials``).
+    By Macaulay duality the piece is the kernel of the degree-k span
+    (``_Quotient.span``), of dimension dim A_k, A the quotient by extra.
+    A is standard graded (A_{k+1} = A_1 A_k), so it vanishes in every
+    degree from its first vanishing degree N (``_Quotient.vanishing``) on,
+    and there the piece is empty without a matrix.
 
     Rowless degrees.  Where no span form has degree <= k (degree 0 of
-    every sop), the matrix has no rows, so every column is free and its
+    every sop), the span has no rows, so every column is free and its
     kernel is spanned by the unit vectors: the piece is the degree-k
     standard monomials, each with coefficient 1, and nothing is built.
     """
@@ -454,38 +467,22 @@ def inverse_system_piece(cx: SimplicialComplex, extra, k: int) -> InverseSystemP
     cols = _standard_monomials(cx, k, caps, filters)
     if not others:
         return InverseSystemPiece(k, tuple(Polynomial({Monomial._trusted(b, k): 1}) for b in cols))
-    base = code_base(k)
-    row_index = {}
-    entries = {}
-    for n, (g, copies) in enumerate(Counter(others).items()):
-        terms = q.terms(g, base)
-        if copies > 1:
-            terms = [(t, linalg._exact(c * copies)) for t, c in terms]
-        lower = q.coded(k - g.degree(), base)
-        for b, j in q.coded(k, base).items():
-            for t, c in terms:
-                if (d := b - t) in lower:
-                    # distinct terms of one form give distinct quotients
-                    entries[row_index.setdefault((n, d), len(row_index)), j] = c
-    mat = linalg.ExactMatrix._trusted(len(row_index), len(cols), entries)
     basis = tuple(
         Polynomial({Monomial._trusted(cols[j], k): c for j, c in enumerate(vec) if c})
-        for vec in linalg.kernel_basis(mat).vectors
+        for vec in linalg.kernel_basis(q.span(k)).vectors
     )
     return InverseSystemPiece(k, basis)
 
 
 def _membership(q: _Quotient, g) -> bool:
-    """g lies in the Stanley-Reisner ideal plus q's forms exactly when
-    adding it as a generator leaves the degree-(deg g) quotient
-    unchanged."""
+    """g lies in the Stanley-Reisner ideal plus q's forms exactly when its
+    row, added to the span of degree deg g, leaves the rank and so the
+    value unchanged."""
     _validate_extra(q.cx, [g])
     if g.is_zero():
         return True
     k = g.degree()
-    # the quotient with g is not kept: each g is asked about once, and a
-    # cache would keep g alive for the rest of the process
-    return _Quotient(q.cx, q.extra + (g,)).dimension(k) == q.value(k)
+    return q.dimension(k, g) == q.value(k)
 
 
 def ideal_membership(cx: SimplicialComplex, extra, g: Polynomial) -> bool:

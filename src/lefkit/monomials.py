@@ -11,8 +11,8 @@ stable.  Every basis, of a capped frame or of a quotient by extra forms,
 comes from the cached ``standard_monomials``: a frame is the quotient by
 its power generators.
 
-The matrix builders (span rows, contraction rows, ×f and the symmetry-
-adapted ×L) work on integer codes of monomials (``code``): a product is
+The matrix builders (a quotient's span, ×f and the symmetry-adapted
+×L) work on integer codes of monomials (``code``): a product is
 a sum of codes and a quotient a difference looked up in the lower piece,
 through each graded piece's cached coded view (``coded_monomials``).
 ``_times`` and ``_over`` walk the exponent tuples for ``Monomial``,
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +30,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import linalg, subdivision
-from .complexes import SimplicialComplex, _all_faces, _face_compositions, faces
+from .complexes import SimplicialComplex, _face_compositions, faces
 from .errors import (
     EquigenerationError,
     HomogeneityError,
@@ -663,42 +662,6 @@ def standard_basis(frame: ArtinianFrame, k: int):
 
 def hilbert_function(frame: ArtinianFrame, k: int) -> int:
     return len(standard_monomials(frame.complex, k, frame.caps))
-
-
-def hilbert_series(frame: ArtinianFrame) -> tuple:
-    """``hilbert_function(frame, k)`` for k from 0 to the socle degree,
-    counted without enumerating a basis.  The standard monomials with
-    support F are counted by the coefficients of the product of
-    t + t^2 + ... + t^(a_v - 1) over v in F; faces with the same caps
-    share one product.  ``wlp_check`` and ``slp_check`` read the
-    dimensions from the vertex peel's strings instead; this count is the
-    independent oracle the tests hold them to."""
-    caps = frame.cap_map
-    shapes = Counter(tuple(sorted(caps[v] for v in f)) for f in _all_faces(frame.complex))
-    total = [0] * (frame.socle_degree() + 1)
-    for shape, n in shapes.items():
-        series = [1]
-        for a in shape:
-            grown = [0] * (len(series) + a - 1)
-            for i, c in enumerate(series):
-                for e in range(i + 1, i + a):
-                    grown[e] += c
-            series = grown
-        for k, c in enumerate(series):
-            total[k] += n * c
-    return tuple(total)
-
-
-def is_standard(frame: ArtinianFrame, m: Monomial) -> bool:
-    caps = frame.cap_map
-    if any(e >= caps[v] for v, e in m.exps):
-        return False
-    return frame.complex.has_face(m.support)
-
-
-def reduce_to_frame(frame: ArtinianFrame, poly: Polynomial) -> Polynomial:
-    """Image in the frame algebra: drop non-face and over-cap monomials."""
-    return Polynomial({m: c for m, c in poly.terms.items() if is_standard(frame, m)})
 
 
 def multiplication_matrix(frame: ArtinianFrame, f: Polynomial, k: int) -> linalg.ExactMatrix:

@@ -93,6 +93,18 @@ class TestHf:
         assert payload["degrees"] == [0, 1, 2, 3]
         assert payload["values"] == [1, 4, 0, 0]
 
+    @pytest.mark.parametrize("degrees", [[], ["--degrees", "1"]])
+    def test_bad_forms_on_non_cm_complex_are_refused_before_the_bound(
+            self, capsys, tmp_path, degrees):
+        # the bowtie is not Cohen-Macaulay, so a non-linear form has no
+        # proven vanishing bound there; a non-homogeneous one is refused
+        # before the bound is asked for, with or without --degrees
+        cx = tmp_path / "bowtie.json"
+        cx.write_text(json.dumps({"name": "bowtie", "facets": [[1, 2, 3], [3, 4, 5]]}))
+        code, out, err = run(capsys, "hf", "--complex", str(cx), "--forms", "x1+x2^2", *degrees)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "HomogeneityError"
+
     @pytest.mark.parametrize("degrees", ["1,a", "1,,2", "2.5"])
     def test_bad_degrees_are_parse_errors(self, capsys, degrees):
         code, out, err = run(

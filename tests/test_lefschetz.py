@@ -1,9 +1,10 @@
 """Lefschetz decisions, inverse systems and the unexpectedness verdict."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from lefkit import lefschetz, linalg
 from lefkit.complexes import (
     Coloring,
     SimplicialComplex,
+    _all_faces,
     balanced_coloring,
     fh_profile,
     from_facets,
@@ -56,7 +58,6 @@ from lefkit.monomials import (
     contract,
     divided_power_rescale,
     hilbert_function,
-    hilbert_series,
     multiplication_matrix,
     parse_polynomial,
     standard_basis,
@@ -570,6 +571,29 @@ class TestSocleRule:
             assert maps.matrix(k) == fresh[k], k
         # a walk that turns builds no layout again
         assert sorted(built) == [0, 1, 2, 3, 4, 5, 6, top - 1, top]
+
+
+def hilbert_series(frame: ArtinianFrame) -> tuple:
+    """``hilbert_function(frame, k)`` for k from 0 to the socle degree,
+    counted without enumerating a basis: the independent oracle of the
+    dimensions ``wlp_check`` and ``slp_check`` read from the vertex
+    peel's strings.  The standard monomials with support F are counted by
+    the coefficients of the product of t + t^2 + ... + t^(a_v - 1) over v
+    in F; faces with the same caps share one product."""
+    caps = frame.cap_map
+    shapes = Counter(tuple(sorted(caps[v] for v in f)) for f in _all_faces(frame.complex))
+    total = [0] * (frame.socle_degree() + 1)
+    for shape, n in shapes.items():
+        series = [1]
+        for a in shape:
+            grown = [0] * (len(series) + a - 1)
+            for i, c in enumerate(series):
+                for e in range(i + 1, i + a):
+                    grown[e] += c
+            series = grown
+        for k, c in enumerate(series):
+            total[k] += n * c
+    return tuple(total)
 
 
 class TestHilbertSeries:
@@ -1195,8 +1219,8 @@ class TestContractionMatrixOracle:
 
 
 def span_rows_reference(complex_, extra, k):
-    """The span matrix of ``_hilbert`` as the tuple-product loop built it:
-    a row per span form g and standard monomial m of degree k - deg g,
+    """The span of ``_Quotient.dimension`` as the tuple-product loop built
+    it: a row per span form g and standard monomial m of degree k - deg g,
     each product m·t (``_times``) looked up among the standard monomials
     of degree k, the entries read by the validating constructor."""
     caps, filters, others = lefschetz._quotient(complex_, tuple(extra)).fold(k)
@@ -1216,24 +1240,129 @@ def span_rows_reference(complex_, extra, k):
 
 class TestSpanRowsOracle:
     def test_cases_match_the_tuple_products(self, cx, monkeypatch):
-        """The span ``_hilbert`` ranks is the tuple-product loop's, entry
-        for entry, in insertion order and in shape; a span without
-        entries takes no rank."""
+        """The span a fresh quotient ranks for its value is the pairwise
+        loop's contraction matrix, entry for entry, in insertion order and
+        in shape, and its rank that of the tuple-product loop's span; a
+        span without entries takes no rank."""
         built = []
         rank = linalg.rank
         monkeypatch.setattr(linalg, "rank", lambda m: built.append(m) or rank(m))
         for complex_, extra, degrees in inverse_system_cases(cx) + coded_builder_cases(cx):
             for k in degrees:
                 built.clear()
-                value = lefschetz._hilbert.__wrapped__(complex_, tuple(extra), k)
+                value = lefschetz._Quotient(complex_, tuple(extra)).dimension(k)
+                _, contraction = contraction_matrix_reference(complex_, extra, k)
                 reference = span_rows_reference(complex_, extra, k)
                 assert value == reference.cols - rank(reference), (complex_, extra, k)
                 if not reference.entries:
-                    assert built == [], (complex_, extra, k)
+                    assert built == [] and not contraction.entries, (complex_, extra, k)
                     continue
                 [span] = built
-                assert span == reference, (complex_, extra, k)
-                assert list(span.entries.items()) == list(reference.entries.items())
+                assert span == contraction, (complex_, extra, k)
+                assert list(span.entries.items()) == list(contraction.entries.items())
+
+
+def non_face(complex_):
+    """A minimal non-face of the complex, or None if its vertices span a
+    simplex."""
+    for size in range(2, len(complex_.vertices) + 1):
+        for sigma in combinations(complex_.vertices, size):
+            if not complex_.has_face(sigma):
+                return sigma
+    return None
+
+
+def membership_probes(complex_, extra, k, every, rng):
+    """(kind, form) pairs of degree k: the zero form, a constant in degree
+    0, random forms on the standard monomials of the quotient's fold and
+    one with a non-standard term added, a member built from the extra
+    forms with standard multipliers, a monomial on a non-face, x_v^k for
+    every vertex v, and every standard monomial if every is set."""
+    caps, filters, _ = lefschetz._quotient(complex_, tuple(extra)).fold(k)
+    monos = [Monomial._trusted(m, k) for m in standard_monomials(complex_, k, caps, filters)]
+    probes = [("zero", Polynomial())]
+    if k == 0:
+        probes.append(("constant", Polynomial.constant(Fraction(-2, 3))))
+    sigma = non_face(complex_)
+    off = None
+    if sigma is not None and len(sigma) <= k:
+        off = Polynomial({Monomial({**dict.fromkeys(sigma, 1), sigma[0]: k - len(sigma) + 1}): 1})
+        probes.append(("non-face", off))
+    if monos:
+        forms = [Polynomial({rng.choice(monos): Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                             for _ in range(3)}) for _ in range(2)]
+        probes += [("form", f) for f in forms]
+        if off is not None:
+            probes.append(("form", forms[0] + off))
+    member = Polynomial()
+    for g in extra:
+        if not g.is_zero() and g.degree() <= k:
+            lower = standard_monomials(complex_, k - g.degree())
+            member = member + Polynomial({Monomial._trusted(rng.choice(lower), k - g.degree()):
+                                          rng.randint(1, 5)}) * g
+    probes.append(("member", member))
+    if k:
+        probes += [("power", Polynomial.variable(v, k)) for v in complex_.vertices]
+    if every:
+        probes += [("standard", Polynomial({m: 1})) for m in monos]
+    return probes
+
+
+def check_memberships(cases, seed):
+    """Each verdict of ``ideal_membership``, asked between
+    ``quotient_hilbert`` calls on the same quotient, is the pairing with
+    the inverse piece: g of degree k lies in the ideal exactly when it
+    pairs to zero with every element of the degree-k piece (Macaulay
+    duality).  The values stay the piece's dimensions.  Every standard
+    monomial is probed in one degree per case: the top degree of the
+    forms, or the last one below the first vanishing degree if that comes
+    first.  Returns the count of each (kind, verdict)."""
+    rng = random.Random(seed)
+    seen = Counter()
+    for complex_, extra, degrees in cases:
+        vanishing = lefschetz._quotient(complex_, tuple(extra)).vanishing[0]
+        every = min(max(g.degree() for g in extra), vanishing - 1)
+        for k in degrees:
+            piece = inverse_system_piece(complex_, extra, k)
+            for kind, g in membership_probes(complex_, extra, k, k == every, rng):
+                verdict = ideal_membership(complex_, extra, g)
+                assert quotient_hilbert(complex_, extra, k) == piece.dimension, (complex_, extra, k)
+                pairs_to_zero = all(contract(g, F).is_zero() for F in piece.basis)
+                assert verdict == pairs_to_zero, (complex_, extra, kind, g)
+                seen[kind, verdict] += 1
+    assert not seen["member", False] and not seen["non-face", False] and not seen["zero", False]
+    return seen
+
+
+class TestMembershipOracle:
+    def test_fixture_sops(self, cx):
+        seen = check_memberships(inverse_system_cases(cx), 1)
+        assert all(seen[kind, verdict] for kind in ("form", "power", "standard")
+                   for verdict in (True, False))
+        assert seen["constant", False] and seen["non-face", True]
+
+    def test_filters_mixed_caps_and_sparse_ids(self, cx):
+        seen = check_memberships(coded_builder_cases(cx), 2)
+        assert all(seen[kind, verdict] for kind in ("form", "power", "standard")
+                   for verdict in (True, False))
+
+    def test_verify_unexpected_builds_no_quotient_of_its_own(self, cx, monkeypatch):
+        """On CROSS4's colored sop at caps 2, U3 and U4 add a row to the
+        sop's span: every quotient is prepared by ``_quotient``."""
+        complex_ = cx("CROSS4")
+        cand = colored_sop(complex_, balanced_coloring(complex_))
+        callers = []
+        real = lefschetz._Quotient
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        monkeypatch.setattr(lefschetz, "_Quotient", spy)
+        lefschetz._quotient.cache_clear()
+        report = verify_unexpected(complex_, cand, sum_of_variables(complex_.vertices), 2, 4)
+        assert report.overall
+        assert callers == ["_quotient"]
 
 
 class TestTrustedMatrices:
@@ -1264,7 +1393,7 @@ class TestTrustedMatrices:
         monkeypatch.setattr(linalg, "rank", lambda m: built.append(m) or rank(m))
         theta = (P("1/2 x1 + x3 - 2/3 x5"), P("x2 + 3/4 x4"), P("1/3 x1*x3 + x6^2"), P("x2^3"))
         for k in range(5):
-            lefschetz._hilbert.__wrapped__(cx("OCT"), theta, k)
+            lefschetz._Quotient(cx("OCT"), theta).dimension(k)
         assert len(built) == 4
         for m in built:
             assert_normal_form(m)
